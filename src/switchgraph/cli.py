@@ -13,6 +13,7 @@ or infeasible), 2 unknown or degenerate, 64 usage error, 65 bad data,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -278,26 +279,41 @@ def _cmd_optimize(args) -> int:
 def _cmd_enumerate(args) -> int:
     if (args.margins is None) == (args.degrees is None):
         raise _InputError("exactly one of --margins or --degrees is required", EXIT_DATA)
+    if args.max_states < 0:
+        raise _InputError("--max-states must be non-negative", EXIT_USAGE)
     if args.margins:
         config = {"margins": args.margins, "max_states": args.max_states}
         R, C = _load_margins(args.margins)
         config["R"], config["C"] = R, C
-        size = oracle.count_margin_class(R, C, cap=args.max_states)
-        if size is None:
-            _emit(_report("enumerate", config, error="class larger than --max-states"))
-            return EXIT_UNKNOWN
-        mats = oracle.enumerate_margins(R, C)
-        if not mats:
+        members = oracle.iter_margin_matrices(R, C)
+    else:
+        config = {"degrees": args.degrees, "max_states": args.max_states}
+        try:
+            D = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
+        except ValueError as exc:
+            raise _InputError(f"bad degree list: {exc}", EXIT_DATA) from exc
+        config["D"] = D
+        members = oracle.iter_degree_class(D)
+    try:
+        members = list(itertools.islice(members, args.max_states + 1))
+    except NonGraphical as exc:
+        _emit(_report("enumerate", config, error=str(exc)))
+        return EXIT_NEGATIVE
+    if len(members) > args.max_states:
+        _emit(_report("enumerate", config, error="class larger than --max-states"))
+        return EXIT_UNKNOWN
+    if args.margins:
+        if not members:
             _emit(_report("enumerate", config, count=0, error="infeasible margins"))
             return EXIT_NEGATIVE
-        dag = oracle.build_dag(mats)
+        dag = oracle.build_dag(members)
         structure = oracle.verify_dag_structure(dag)
         reach_rep = oracle.verify_reachability(dag)
         _emit(
             _report(
                 "enumerate",
                 config,
-                count=len(mats),
+                count=len(members),
                 arcs=dag.arc_count,
                 sources=dag.sources,
                 sinks=dag.sinks,
@@ -315,27 +331,13 @@ def _cmd_enumerate(args) -> int:
             )
         )
         return EXIT_OK if structure.ok and reach_rep.ok else EXIT_NEGATIVE
-    config = {"degrees": args.degrees, "max_states": args.max_states}
-    try:
-        D = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
-    except ValueError as exc:
-        raise _InputError(f"bad degree list: {exc}", EXIT_DATA) from exc
-    config["D"] = D
-    try:
-        graphs = oracle.enumerate_degree_class(D)
-    except NonGraphical as exc:
-        _emit(_report("enumerate", config, error=str(exc)))
-        return EXIT_NEGATIVE
-    if args.max_states is not None and len(graphs) > args.max_states:
-        _emit(_report("enumerate", config, error="class larger than --max-states"))
-        return EXIT_UNKNOWN
-    dag = oracle.build_graph_dag(graphs)
-    spectral = oracle.verify_spectral_max_at_sink(graphs)
+    dag = oracle.build_graph_dag(members)
+    spectral = oracle.verify_spectral_max_at_sink(members)
     _emit(
         _report(
             "enumerate",
             config,
-            count=len(graphs),
+            count=len(members),
             arcs=dag.arc_count,
             sources=dag.sources,
             sinks=dag.sinks,
@@ -458,7 +460,8 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument("a")
         cmd.add_argument("b")
-        cmd.add_argument("--bfs-cap", type=int, default=reach.DEFAULT_BFS_CAP)
+        cmd.add_argument("--bfs-cap", type=int, default=reach.DEFAULT_BFS_CAP,
+                         help="most states the reachability search expands before Unknown")
 
     opt = sub.add_parser("optimize", help="random positive-switch run")
     opt.add_argument("--input")

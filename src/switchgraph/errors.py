@@ -45,7 +45,7 @@ class MotifNotFound(SwitchGraphError):
 
 
 class InternalInvariantViolation(SwitchGraphError):
-    """The constructive path builder contradicted itself.
+    """A path builder, search or sampler contradicted its own invariant.
 
     Like :class:`MotifNotFound`, this signals an implementation bug.
     """

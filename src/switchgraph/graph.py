@@ -96,11 +96,6 @@ def sort_by_degree(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph._wrap(adj), tuple(int(v) + 1 for v in order)
 
 
-def _sym_canonical(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    # The symmetric pair of (i,j,k,l) is (k,l,i,j); keep the smaller pair first.
-    return (i, j, k, l) if (i, j) <= (k, l) else (k, l, i, j)
-
-
 def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
     """Symmetric checkerboards of the requested sign, deduplicated.
 
@@ -108,7 +103,8 @@ def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
     k < l; each symmetric pair is reported once, in lexicographic order.
     The sign convention assumes a degree-sorted labelling.
     """
-    assert G.is_degree_sorted(), "graph operations expect degree-sorted vertices"
+    if not G.is_degree_sorted():
+        raise ValueError("graph operations expect degree-sorted vertices")
     if sign not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown sign {sign!r}")
     adj = G.adj

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
+from .errors import InternalInvariantViolation
 from .graph import Graph, spectral_radius, sym_board_pair_counts, sym_switch_inplace
 
 TERMINATION_SINK = "SinkReached"
@@ -129,7 +130,7 @@ def _enumerate_and_pick(adj: np.ndarray, rng: np.random.Generator) -> Switch | N
                 i, j, k, l = k, l, i, j
             return Switch(i + 1, j + 1, k + 1, l + 1)
         inner -= below.size
-    raise AssertionError("uniform pick fell off the enumeration")
+    raise InternalInvariantViolation("uniform pick fell off the enumeration")
 
 
 def run(

@@ -415,12 +415,7 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
                 failures.append(f"pair ({a},{b}): reachable but T has negatives")
             if not cond_i:
                 continue
-            cond_iii = reach._condition_iii(t_vals)
-            cond_ii = all(
-                h == 0
-                for level in reach._levels_of_values(t_vals)
-                for h in level.holes
-            )
+            _, cond_ii, cond_iii = reach.conditions_from_T(t_vals)
             if cond_ii and cond_iii and not reachable:
                 sufficiency_ok = False
                 failures.append(
@@ -469,7 +464,7 @@ def is_graphical(D: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
+def iter_degree_class(D: Sequence[int]) -> Iterator[Graph]:
     """All labelled simple graphs whose degree vector is exactly D.
 
     D must be non-increasing (the degree-sorted convention the switch sign
@@ -483,13 +478,12 @@ def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
     n = len(D)
     adj = np.zeros((n, n), dtype=np.int8)
     rem = D[:]
-    out: list[Graph] = []
 
-    def rec(v: int) -> None:
+    def rec(v: int) -> Iterator[Graph]:
         while v < n and rem[v] == 0:
             v += 1
         if v == n:
-            out.append(Graph._wrap(adj.copy()))
+            yield Graph._wrap(adj.copy())
             return
         partners = [u for u in range(v + 1, n) if rem[u] > 0]
         if rem[v] > len(partners):
@@ -500,14 +494,17 @@ def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
             for u in combo:
                 rem[u] -= 1
                 adj[v, u] = adj[u, v] = 1
-            rec(v + 1)
+            yield from rec(v + 1)
             for u in combo:
                 rem[u] += 1
                 adj[v, u] = adj[u, v] = 0
             rem[v] = need
 
-    rec(0)
-    return out
+    yield from rec(0)
+
+
+def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
+    return list(iter_degree_class(D))
 
 
 @dataclass

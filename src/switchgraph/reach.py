@@ -13,7 +13,7 @@ polyominoes P_i = cells with t >= i) are jointly sufficient:
 When (i)-(iii) hold, a directed path is built constructively by repeatedly
 locating a motif rectangle on the contour of a top-level component and
 switching the checkerboard found at its corners.  Outside that regime a
-sound greedy heuristic is tried, then exhaustive BFS on small classes.
+complete depth-first search over switches that fit the remaining T decides.
 
 T-grid cells are 1-based: cell (i, k) corresponds to the unitary switch
 (i, i+1, k, k+1).
@@ -284,19 +284,23 @@ def polyomino_levels(T: TGrid) -> list[PolyominoLevel]:
 
 
 def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, TGrid]:
-    """Evaluate conditions (i), (ii), (iii) for a difference matrix.
+    """Conditions (i), (ii), (iii) of a difference matrix, and its T grid."""
+    T = compute_T(M)
+    return (*conditions_from_T(T.values), T)
+
+
+def conditions_from_T(values: np.ndarray) -> tuple[bool, bool, bool]:
+    """Evaluate conditions (i), (ii), (iii) on a T grid given as an array.
 
     (iii) is evaluated on interior grid cells only; the zero-extended
     border does not participate.
     """
-    T = compute_T(M)
-    v = T.values
-    cond_i = T.nonneg
-    cond_iii = _condition_iii(v)
+    cond_i = bool((values >= 0).all())
+    cond_iii = _condition_iii(values)
     cond_ii = all(
-        h == 0 for level in _levels_of_values(v) for h in level.holes
+        h == 0 for level in _levels_of_values(values) for h in level.holes
     )
-    return cond_i, cond_ii, cond_iii, T
+    return cond_i, cond_ii, cond_iii
 
 
 def _condition_iii(v: np.ndarray) -> bool:
@@ -496,10 +500,6 @@ class ReachVerdict:
         return {"i": self.cond_i, "ii": self.cond_ii, "iii": self.cond_iii}
 
 
-_NEG = np.array([[0, 1], [1, 0]], dtype=np.int8)
-_POS = np.array([[1, 0], [0, 1]], dtype=np.int8)
-
-
 def validate_path(A: BinaryMatrix, A2: BinaryMatrix, path) -> bool:
     """Check that ``path`` is a valid positive-switch walk from A to A2.
 
@@ -532,12 +532,12 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
         rows = (sw.i - 1, sw.j - 1)
         cols = (sw.k - 1, sw.l - 1)
         sub_a = cur_a[np.ix_(rows, cols)]
-        if (sub_a == _NEG).all():
+        if (sub_a == binmat._NEG_PATTERN).all():
             binmat.switch_bits_inplace(cur_a, sw, POSITIVE)
             prefix.append(sw)
         else:
             sub_b = cur_b[np.ix_(rows, cols)]
-            if not (sub_b == _POS).all():
+            if not (sub_b == binmat._POS_PATTERN).all():
                 raise InternalInvariantViolation(
                     f"motif rectangle {rect} carries no usable checkerboard"
                 )
@@ -554,29 +554,51 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
     return path
 
 
-def _greedy_heuristic(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Switch] | None:
-    """Sound but incomplete: take the first negative checkerboard of the
-    running matrix whose rectangle can be deducted from T without going
-    negative; success means T was driven to zero."""
-    cur = A.writable_bits()
-    t = T.values.copy()
-    path: list[Switch] = []
-    while t.any():
-        chosen = None
-        for cb in binmat.find_checkerboards(BinaryMatrix._wrap(cur.copy()), NEGATIVE):
-            sw = cb.coord
-            region = t[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1]
-            if (region >= 1).all():
-                chosen = sw
+def _interval_search(
+    A: BinaryMatrix, A2: BinaryMatrix, T: TGrid, cap: int
+) -> tuple[str, list[Switch] | None]:
+    """Depth-first search over the switches whose rectangle fits the remaining T.
+
+    Every state X on a path keeps T(A2 - X) >= 0, so only those switches can
+    lie on a path and the search is complete.  Its first descent is the
+    greedy walk: success with no dead state is ``ReachableHeuristic``.
+    Expanding more than ``cap`` states gives ``Unknown``.
+    """
+    if cap < 1:
+        return UNKNOWN, None
+    # frame: [state, its remaining T, next board position, switch into it].
+    # Boards are relisted on each visit: a long descent keeps one list alive.
+    stack = [[A, T.values, 0, None]]
+    dead: set[bytes] = set()
+    expanded = 1
+    while stack:
+        frame = stack[-1]
+        mat, t, start, _ = frame
+        boards = binmat.find_checkerboards(mat, NEGATIVE)
+        for pos in range(start, len(boards)):
+            sw = boards[pos].coord
+            if not (t[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] >= 1).all():
+                continue
+            nxt = binmat.apply_switch(mat, sw, POSITIVE)
+            if nxt.key() not in dead:
                 break
-        if chosen is None:
-            return None
-        binmat.switch_bits_inplace(cur, chosen, POSITIVE)
-        t[chosen.i - 1 : chosen.j - 1, chosen.k - 1 : chosen.l - 1] -= 1
-        path.append(chosen)
-    if not (cur == A2.bits).all():
-        raise InternalInvariantViolation("greedy heuristic emptied T off target")
-    return path
+        else:
+            dead.add(mat.key())
+            stack.pop()
+            continue
+        frame[2] = pos + 1
+        t_next = t.copy()
+        t_next[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] -= 1
+        if not t_next.any():
+            if nxt != A2:
+                raise InternalInvariantViolation("interval search emptied T off target")
+            path = [f[3] for f in stack[1:]] + [sw]
+            return (REACHABLE_EXHAUSTIVE if dead else REACHABLE_HEURISTIC), path
+        if expanded >= cap:
+            return UNKNOWN, None
+        expanded += 1
+        stack.append([nxt, t_next, 0, sw])
+    return UNREACHABLE_EXHAUSTIVE, None
 
 
 def build_path(
@@ -585,9 +607,9 @@ def build_path(
     """Decide reachability from A to A2 and build a path when possible.
 
     Dispatch: identical inputs; condition (i) failure (unreachable);
-    constructive builder when (i)-(iii) all hold; otherwise the greedy
-    heuristic, then exhaustive BFS if the margin class is estimated to
-    have at most ``bfs_cap`` members, else Unknown.
+    constructive builder when (i)-(iii) all hold; otherwise the T-interval
+    search, which answers Unknown instead of expanding more than
+    ``bfs_cap`` states.
     """
     M = diff(A, A2)
     cond_i, cond_ii, cond_iii, T = check_conditions(M)
@@ -598,27 +620,8 @@ def build_path(
     if cond_ii and cond_iii:
         path = _constructive_path(A, A2, T)
         return ReachVerdict(REACHABLE_CONSTRUCTIVE, path, cond_i, cond_ii, cond_iii, T)
-    path = _greedy_heuristic(A, A2, T)
-    if path is not None:
-        return ReachVerdict(REACHABLE_HEURISTIC, path, cond_i, cond_ii, cond_iii, T)
-    from . import oracle
-
-    R = [int(x) for x in A.row_sums]
-    C = [int(x) for x in A.col_sums]
-    size = oracle.count_margin_class(R, C, cap=bfs_cap)
-    if size is None:
-        return ReachVerdict(
-            UNKNOWN,
-            None,
-            cond_i,
-            cond_ii,
-            cond_iii,
-            T,
-            note=f"margin class larger than bfs cap {bfs_cap}",
-        )
-    found = oracle.bfs_directed_path(A, A2)
-    if found is None:
-        return ReachVerdict(UNREACHABLE_EXHAUSTIVE, None, cond_i, cond_ii, cond_iii, T)
-    if not validate_path(A, A2, found):
-        raise InternalInvariantViolation("BFS produced an invalid path")
-    return ReachVerdict(REACHABLE_EXHAUSTIVE, found, cond_i, cond_ii, cond_iii, T)
+    status, path = _interval_search(A, A2, T, bfs_cap)
+    if path is not None and not validate_path(A, A2, path):
+        raise InternalInvariantViolation("interval search produced an invalid path")
+    note = f"more than {bfs_cap} search states" if status == UNKNOWN else ""
+    return ReachVerdict(status, path, cond_i, cond_ii, cond_iii, T, note=note)

@@ -24,6 +24,23 @@ BLOCK_A = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
 BLOCK_B = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
 BLOCK_T = [[1, 2, 1], [2, 4, 2], [1, 2, 1]]
 
+# 5x5 pair outside conditions ii and iii whose greedy descent dead-ends:
+# the interval search must backtrack to reach B (reachable, BFS distance 4).
+BACKTRACK_A = [
+    [0, 1, 0, 0, 1],
+    [0, 1, 1, 0, 1],
+    [0, 1, 1, 1, 1],
+    [1, 0, 0, 0, 0],
+    [1, 1, 0, 1, 1],
+]
+BACKTRACK_B = [
+    [1, 1, 0, 0, 0],
+    [0, 1, 0, 1, 1],
+    [1, 1, 1, 0, 1],
+    [0, 0, 0, 0, 1],
+    [0, 1, 1, 1, 1],
+]
+
 # 6x6 zebra menagerie: banded zebra (not split), horizontally split zebra,
 # and their anti-zebra counterparts (complement of the vertical reflection).
 ZEBRA_BANDED = [

@@ -6,7 +6,7 @@ import pytest
 from switchgraph import binmat, cli
 from switchgraph.binmat import BinaryMatrix
 
-from conftest import PAIR_3X3_A, PAIR_3X3_B, RING_A, RING_B
+from conftest import BLOCK_A, BLOCK_B, PAIR_3X3_A, PAIR_3X3_B, RING_A, RING_B
 
 
 def run_cli(capsys, *argv):
@@ -121,10 +121,14 @@ class TestReach:
         assert payload["path"] is None
 
     def test_unknown_with_tiny_cap(self, tmp_path, capsys):
+        a = write(tmp_path, "a.mat", BLOCK_A)
+        b = write(tmp_path, "b.mat", BLOCK_B)
+        code, payload, _ = run_json(capsys, "reach", a, b, "--bfs-cap", "1")
+        assert code == 2 and payload["status"] == "Unknown"
         a = write(tmp_path, "a.mat", RING_A)
         b = write(tmp_path, "b.mat", RING_B)
         code, payload, _ = run_json(capsys, "reach", a, b, "--bfs-cap", "1")
-        assert code == 2 and payload["status"] == "Unknown"
+        assert code == 1 and payload["status"] == "UnreachableExhaustive"
 
     def test_margin_mismatch_is_data_error(self, tmp_path, capsys):
         a = write(tmp_path, "a.mat", [[1, 0], [0, 1]])
@@ -232,6 +236,17 @@ class TestEnumerate:
         assert code == 0
         assert payload["count"] == 3
         assert payload["checks"]["max_at_sink"] is True
+
+    def test_degrees_cap(self, capsys):
+        # the class of 2,2,2,2 has 3 members
+        code, payload, _ = run_json(
+            capsys, "enumerate", "--degrees", "2,2,2,2", "--max-states", "2"
+        )
+        assert code == 2 and payload["error"] == "class larger than --max-states"
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--degrees", "2,2,2,2", "--max-states", "-2")
+        assert code == 64 and out == ""
 
     def test_degrees_nongraphical(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "--degrees", "3,1")

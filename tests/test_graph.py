@@ -112,6 +112,12 @@ class TestSymCheckerboards:
         g = Graph(np.zeros((5, 5), dtype=int))
         assert find_sym_checkerboards(g, NEGATIVE) == []
 
+    def test_unsorted_graph_raises(self):
+        # path 1-2-3 labelled with its degree-2 centre last
+        g = Graph(np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]]))
+        with pytest.raises(ValueError):
+            find_sym_checkerboards(g, NEGATIVE)
+
     def test_four_cycle_counts_match_brute_force(self):
         adj = np.zeros((4, 4), dtype=int)
         for u, v in ((0, 2), (2, 1), (1, 3), (3, 0)):

@@ -18,6 +18,8 @@ from switchgraph.reach import (
 )
 
 from conftest import (
+    BACKTRACK_A,
+    BACKTRACK_B,
     BLOCK_T,
     PAIR_3X3_PATHS,
     RING_T,
@@ -315,10 +317,39 @@ class TestBuildPath:
         with pytest.raises(MarginMismatch):
             build_path(BinaryMatrix([[1, 0], [0, 1]]), BinaryMatrix([[1, 1], [0, 0]]))
 
-    def test_unknown_on_tiny_cap(self, ring_pair):
-        A, B = ring_pair
+    def test_unknown_on_tiny_cap(self, block_pair, ring_pair):
+        A, B = block_pair
         v = build_path(A, B, bfs_cap=1)
         assert v.status == reach.UNKNOWN and v.reachable is None
+        # RING's start state has no switch that fits inside T
+        assert build_path(*ring_pair, bfs_cap=1).status == reach.UNREACHABLE_EXHAUSTIVE
+
+    def test_backtracking_pair(self):
+        A, B = BinaryMatrix(BACKTRACK_A), BinaryMatrix(BACKTRACK_B)
+        v = build_path(A, B)
+        assert v.status == reach.REACHABLE_EXHAUSTIVE
+        assert validate_path(A, B, v.path)
+        assert oracle.bfs_directed_path(A, B) is not None
+        assert build_path(A, B, bfs_cap=5).status == reach.UNKNOWN
+
+    @pytest.mark.parametrize(
+        "R, C",
+        [
+            ((1, 3, 3, 1), (3, 1, 1, 3)),  # RING's class
+            ((2, 1, 2, 1), (1, 2, 2, 1)),
+            # 48 members; one pair needs backtracking, one is unreachable
+            ((1, 3, 1, 2, 3), (1, 4, 3, 1, 1)),
+        ],
+    )
+    def test_search_matches_brute_force(self, R, C):
+        mats = oracle.enumerate_margins(R, C)
+        closure = oracle.reachability_closure(oracle.build_dag(mats))
+        for a, A in enumerate(mats):
+            for b, B in enumerate(mats):
+                v = build_path(A, B)
+                assert v.reachable == bool(closure[a] >> b & 1), (R, C, a, b, v.status)
+                if v.path is not None:
+                    assert validate_path(A, B, v.path)
 
     def test_constructive_on_random_condition_pairs(self):
         rng = np.random.default_rng(41)

@@ -13,6 +13,7 @@ or infeasible), 2 unknown or degenerate, 64 usage error, 65 bad data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -90,6 +91,8 @@ def _load_margins(path: str) -> tuple[list[int], list[int]]:
         raise _InputError(f"{path}: bad margin value: {exc}", EXIT_DATA) from exc
     if not R or not C:
         raise _InputError(f"{path}: empty margin vector", EXIT_DATA)
+    if min(R + C) < 0:
+        raise _InputError(f"{path}: negative margin value", EXIT_DATA)
     return R, C
 
 
@@ -271,6 +274,7 @@ def _cmd_optimize(args) -> int:
             lambda1_relative_increase=rel,
             mismatch_initial=optimize.structure_mismatch(traj.initial),
             mismatch_final=optimize.structure_mismatch(traj.final),
+            stats=dataclasses.asdict(traj.stats),
         )
     )
     return EXIT_OK

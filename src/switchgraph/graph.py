@@ -125,48 +125,55 @@ def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
     return out
 
 
-def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
-    """counts[i, j] = boards (i, j, k, l) with k < l, for every row pair i < j.
+# Scratch elements per block of ``sym_board_pair_counts``: a block of r rows
+# holds r * n * n entries, about 8 bytes each.
+_BLOCK_CELLS = 1 << 20
 
-    Fully vectorised (O(n^3) time, O(n^3) scratch); every symmetric switch
-    contributes to exactly two row pairs, so ``counts.sum() // 2`` is the
-    number of distinct switches.
+
+def sym_board_pair_counts(
+    adj: np.ndarray, sign: str, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Boards of the given sign per row pair.
+
+    Without ``rows``: ``counts[i, j]`` = boards (i, j, k, l) with k < l, for
+    every row pair i < j (0 on and below the diagonal).  Every symmetric
+    switch contributes to exactly two row pairs, so ``counts.sum() // 2`` is
+    the number of distinct switches.
+
+    With ``rows`` (0-based indices): ``out[t, b]`` = boards on the row pair
+    {rows[t], b}, that is, row ``rows[t]`` plus column ``rows[t]`` of the
+    full table, with 0 at b == rows[t].  A switch changes only its four
+    rows, so these are the only pairs it can change.
+
+    O(n) per pair.  Rows are taken in blocks of ``_BLOCK_CELLS // n**2``
+    (at least one), so scratch stays near 8 MB up to n = 1024 and near
+    8 n^2 bytes beyond.
     """
-    n = adj.shape[0]
-    a = adj.astype(np.int16)
-    d = a[:, None, :] - a[None, :, :]  # d[i, j, k] = a[i, k] - a[j, k]
-    idx = np.arange(n)
-    d[idx, :, idx] = 0
-    d[:, idx, idx] = 0
+    a = np.asarray(adj, dtype=np.int8)
+    n = a.shape[0]
     hi = 1 if sign == POSITIVE else -1
-    first = d == hi
-    second = d == -hi
-    counts = (np.cumsum(first, axis=2, dtype=np.int32) * second).sum(
-        axis=2, dtype=np.int64
-    )
-    counts[~np.triu(np.ones((n, n), dtype=bool), k=1)] = 0
-    return counts
+    every = np.arange(n)
+    picked = every if rows is None else np.asarray(rows, dtype=np.intp)
+    out = np.empty((picked.size, n), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // (n * n))
+    for start in range(0, picked.size, step):
+        block = picked[start : start + step]
+        # d[t, b, k] = a[i, k] - a[j, k] for the pair i < j of {block[t], b},
+        # zeroed at k in {i, j}
+        d = a[block, None, :] - a
+        d *= np.where(every < block[:, None], -1, 1).astype(np.int8)[:, :, None]
+        d[np.arange(block.size)[:, None], every, block[:, None]] = 0
+        d[:, every, every] = 0
+        below = np.cumsum(d == hi, axis=2, dtype=np.int16 if n < 2**15 else np.int32)
+        out[start : start + step] = (below * (d == -hi)).sum(axis=2, dtype=np.int64)
+    return np.triu(out, k=1) if rows is None else out
 
 
 def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
     """Number of distinct symmetric checkerboards of the given sign."""
-    n = adj.shape[0]
-    if n < 4:
+    if adj.shape[0] < 4:
         return 0
-    if n <= 300:
-        return int(sym_board_pair_counts(adj, sign).sum()) // 2
-    hi = 1 if sign == POSITIVE else -1
-    total = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = adj[i].astype(np.int16) - adj[j]
-            d[i] = d[j] = 0
-            first = d == hi
-            second = d == -hi
-            # pairs k < l with d[k] == hi and d[l] == -hi
-            total += int(np.cumsum(first)[second].sum())
-    # every symmetric switch shows up under two row pairs
-    return total // 2
+    return int(sym_board_pair_counts(adj, sign).sum()) // 2
 
 
 def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:

@@ -8,8 +8,14 @@ or when the step budget is exhausted.  M2 never decreases along a run and
 the degree sequence is untouched, so the trajectory is a monotone walk of
 the switch order.
 
-Randomness comes from numpy's seeded PCG64 generator; a fixed seed replays
-the trajectory byte for byte.
+A run keeps the table of negative boards per row pair
+(``graph.sym_board_pair_counts``) current: it is counted once, and after
+each switch only the row pairs touching the four switched rows are
+recounted, O(n^2) per step.  Every step is an exact uniform pick from
+that table, and an empty table is the sink.
+
+Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
+fixed seed replays the trajectory byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import numpy as np
 
 from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
 from .errors import InternalInvariantViolation
-from .graph import Graph, spectral_radius, sym_board_pair_counts, sym_switch_inplace
+from .graph import (
+    Graph,
+    count_sym_checkerboards,
+    spectral_radius,
+    sym_board_pair_counts,
+    sym_switch_inplace,
+)
 
 TERMINATION_SINK = "SinkReached"
 TERMINATION_BUDGET = "BudgetExhausted"
@@ -39,6 +51,23 @@ class TrajectoryStep:
 
 
 @dataclass
+class RunStats:
+    """Spectral work of one run: lambda1 samples (initial, strided and
+    final), their power iterations, and samples that did not converge."""
+
+    lambda_samples: int = 0
+    power_iterations: int = 0
+    lambda_nonconverged: int = 0
+
+    def lambda1(self, G: Graph, tol: float) -> float:
+        rep = spectral_radius(G, tol=tol)
+        self.lambda_samples += 1
+        self.power_iterations += rep.iterations
+        self.lambda_nonconverged += not rep.converged
+        return rep.lambda1
+
+
+@dataclass
 class Trajectory:
     seed: int
     budget: int
@@ -51,6 +80,7 @@ class Trajectory:
     Z2_initial: float | None
     lambda1_initial: float
     lambda1_final: float
+    stats: RunStats
 
     @property
     def M2_final(self) -> int:
@@ -69,68 +99,55 @@ def _zagreb_m2(adj: np.ndarray, degrees: np.ndarray) -> int:
     return int(degrees @ adj.astype(np.int64) @ degrees) // 2
 
 
+def _locate(weights: np.ndarray, pick: int) -> tuple[int, int]:
+    """Index whose slot of the cumulative ``weights`` holds ``pick``, and the
+    offset of ``pick`` inside that slot."""
+    ends = np.cumsum(weights)
+    idx = int(np.searchsorted(ends, pick, side="right"))
+    return idx, pick - (int(ends[idx - 1]) if idx else 0)
+
+
 def sample_negative_checkerboard(
-    adj: np.ndarray, rng: np.random.Generator, rejection_cap: int | None = None
+    adj: np.ndarray, rng: np.random.Generator, counts: np.ndarray | None = None
 ) -> Switch | None:
     """Uniform negative symmetric checkerboard, or None at a sink.
 
-    Rejection sampling over random vertex quadruples first; after
-    ``rejection_cap`` misses (default 10n) an exact enumeration pass
-    counts every board and picks one uniformly, which doubles as exact
-    sink detection.
+    ``counts`` is the table ``sym_board_pair_counts(adj, NEGATIVE)``; it is
+    computed here when not given.  One draw picks uniformly among the
+    table's entries: first the row pair (i, j) by the cumulative sum over
+    cells, then the board (k, l) among that pair's, ordered by l and then
+    k.  Each symmetric switch appears under exactly two row pairs, so the
+    pick is uniform over switches.
     """
-    n = adj.shape[0]
-    if n >= 4:
-        cap = 10 * n if rejection_cap is None else rejection_cap
-        draws = 0
-        while draws < cap:
-            quad = rng.integers(0, n, size=4)
-            a, b, c, d = (int(x) for x in quad)
-            if a == b or c == d or a == c or a == d or b == c or b == d:
-                continue
-            draws += 1
-            i, j = (a, b) if a < b else (b, a)
-            k, l = (c, d) if c < d else (d, c)
-            if adj[i, k] == 0 and adj[i, l] == 1 and adj[j, k] == 1 and adj[j, l] == 0:
-                if (i, j) > (k, l):
-                    i, j, k, l = k, l, i, j
-                return Switch(i + 1, j + 1, k + 1, l + 1)
-    return _enumerate_and_pick(adj, rng)
-
-
-def _enumerate_and_pick(adj: np.ndarray, rng: np.random.Generator) -> Switch | None:
-    """Exact uniform choice among all negative boards (None if there are none).
-
-    Each symmetric switch appears under exactly two row pairs of the
-    ordered enumeration, so a uniform ordered pick is uniform over
-    switches.
-    """
-    counts = sym_board_pair_counts(adj, NEGATIVE)
-    total = int(counts.sum())
+    if counts is None:
+        counts = sym_board_pair_counts(adj, NEGATIVE)
+    row_totals = counts.sum(axis=1)
+    total = int(row_totals.sum())
     if total == 0:
         return None
-    pick = int(rng.integers(total))
-    flat = counts.ravel()
-    cumulative = np.cumsum(flat)
-    cell = int(np.searchsorted(cumulative, pick, side="right"))
-    prior = int(cumulative[cell - 1]) if cell else 0
-    inner = pick - prior
-    n = adj.shape[0]
-    i, j = divmod(cell, n)
+    i, rest = _locate(row_totals, int(rng.integers(total)))
+    j, rest = _locate(counts[i], rest)
     d = adj[i].astype(np.int16) - adj[j]
     d[i] = d[j] = 0
-    neg_cols = np.flatnonzero(d == -1)
-    pos_cols = np.flatnonzero(d == 1)
-    for l in pos_cols:
-        below = neg_cols[neg_cols < l]
-        if inner < below.size:
-            k = int(below[inner])
-            l = int(l)
-            if (i, j) > (k, l):
-                i, j, k, l = k, l, i, j
-            return Switch(i + 1, j + 1, k + 1, l + 1)
-        inner -= below.size
-    raise InternalInvariantViolation("uniform pick fell off the enumeration")
+    first = d == -1
+    seconds = np.flatnonzero(d == 1)
+    # boards (k, l) with l = seconds[slot]: one per column k < l in ``first``
+    slot, rest = _locate(np.cumsum(first)[seconds], rest)
+    if slot >= seconds.size:
+        raise InternalInvariantViolation(f"row pair ({i}, {j}) holds fewer boards than counted")
+    k, l = int(np.flatnonzero(first)[rest]), int(seconds[slot])
+    if (i, j) > (k, l):
+        i, j, k, l = k, l, i, j
+    return Switch(i + 1, j + 1, k + 1, l + 1)
+
+
+def _refresh(counts: np.ndarray, adj: np.ndarray, coord: Switch) -> None:
+    """Recount, after a switch at ``coord``, the row pairs of ``counts`` that
+    touch its rows; no other pair changes."""
+    rows = np.array(coord) - 1
+    for r, fresh in zip(rows, sym_board_pair_counts(adj, NEGATIVE, rows)):
+        counts[r, r + 1 :] = fresh[r + 1 :]
+        counts[:r, r] = fresh[:r]
 
 
 def run(
@@ -138,14 +155,14 @@ def run(
     budget: int,
     lambda_every: int = 25,
     seed: int = 0,
-    rejection_cap: int | None = None,
     tol: float = 1e-10,
 ) -> Trajectory:
     """Drive ``G0`` through random positive switches.
 
     The spectral radius is recorded at step 0, at termination, and at
     every ``lambda_every``-th step (0 disables per-step sampling); M2 and
-    Z2 are updated every step via the O(1) degree-product delta.
+    Z2 are updated every step via the O(1) degree-product delta.  A sink
+    found by the maintained board table is confirmed by one full count.
     """
     if not G0.is_degree_sorted():
         raise ValueError("run() expects a degree-sorted graph")
@@ -155,15 +172,22 @@ def run(
     m = G0.m
     m2 = _zagreb_m2(adj, degrees)
     z2 = math.sqrt(m2 / m) if m else None
-    lam0 = spectral_radius(G0, tol=tol).lambda1
+    stats = RunStats()
+    lam0 = stats.lambda1(G0, tol)
+    counts = sym_board_pair_counts(adj, NEGATIVE)
     steps: list[TrajectoryStep] = []
     termination = TERMINATION_BUDGET
     for step in range(1, budget + 1):
-        coord = sample_negative_checkerboard(adj, rng, rejection_cap)
+        coord = sample_negative_checkerboard(adj, rng, counts)
         if coord is None:
+            if count_sym_checkerboards(adj, NEGATIVE):
+                raise InternalInvariantViolation(
+                    "board table reads empty but negative boards remain"
+                )
             termination = TERMINATION_SINK
             break
         sym_switch_inplace(adj, coord, POSITIVE)
+        _refresh(counts, adj, coord)
         m2 += int(
             (degrees[coord.i - 1] - degrees[coord.j - 1])
             * (degrees[coord.k - 1] - degrees[coord.l - 1])
@@ -171,10 +195,10 @@ def run(
         z2 = math.sqrt(m2 / m)
         lam = None
         if lambda_every and step % lambda_every == 0:
-            lam = spectral_radius(Graph._wrap(adj.copy()), tol=tol).lambda1
+            lam = stats.lambda1(Graph._wrap(adj.copy()), tol)
         steps.append(TrajectoryStep(step, coord, m2, z2, lam))
     final = Graph._wrap(adj)
-    lam_final = spectral_radius(final, tol=tol).lambda1
+    lam_final = stats.lambda1(final, tol)
     return Trajectory(
         seed=seed,
         budget=budget,
@@ -187,6 +211,7 @@ def run(
         Z2_initial=math.sqrt(_zagreb_m2(G0.adj, G0.degrees) / m) if m else None,
         lambda1_initial=lam0,
         lambda1_final=lam_final,
+        stats=stats,
     )
 
 

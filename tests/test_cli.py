@@ -199,6 +199,18 @@ class TestOptimize:
             out.append(csv.read_bytes())
         assert out[0] == out[1]
 
+    def test_reports_lambda_stats(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "optimize", "--gen", "er", "--n", "12", "--p", "0.4",
+            "--budget", "20", "--lambda-every", "5", "--seed", "3",
+        )
+        assert code == 0
+        stats = payload["stats"]
+        assert set(stats) == {"lambda_samples", "power_iterations", "lambda_nonconverged"}
+        assert stats["lambda_samples"] == 2 + payload["steps"] // 5
+        assert stats["power_iterations"] >= stats["lambda_samples"]
+        assert stats["lambda_nonconverged"] == 0
+
     def test_input_file_route(self, tmp_path, capsys):
         path = write(tmp_path, "k4.mat", K4)
         code, payload, _ = run_json(
@@ -222,6 +234,13 @@ class TestEnumerate:
         assert payload["checks"]["acyclic"] and payload["checks"]["connected"]
         assert payload["checks"]["unique_sink"] == "pass"
         assert payload["checks"]["necessity"] and payload["checks"]["sufficiency"]
+
+    def test_negative_margin_is_bad_data(self, tmp_path, capsys):
+        margins = tmp_path / "m.txt"
+        margins.write_text("-1 1\n0 0\n")
+        code, out, err = run_cli(capsys, "enumerate", "--margins", str(margins))
+        assert code == 65 and out == ""
+        assert "negative margin" in err
 
     def test_margins_cap(self, tmp_path, capsys):
         margins = tmp_path / "m.txt"

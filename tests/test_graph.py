@@ -47,6 +47,23 @@ def random_graph(rng, n, p=0.5):
     return gen_erdos_renyi(n, p, seed=int(rng.integers(2**31)))
 
 
+def loop_sym_checkerboards(adj, sign):
+    """Independent count: one cumulative-sum pass per row pair."""
+    n = adj.shape[0]
+    hi = 1 if sign == POSITIVE else -1
+    total = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            d = adj[i].astype(np.int16) - adj[j]
+            d[i] = d[j] = 0
+            first = d == hi
+            second = d == -hi
+            # pairs k < l with d[k] == hi and d[l] == -hi
+            total += int(np.cumsum(first)[second].sum())
+    # every symmetric switch shows up under two row pairs
+    return total // 2
+
+
 def brute_sym_checkerboards(g, sign):
     """Independent oracle: scan every vertex quadruple."""
     adj = g.adj
@@ -136,11 +153,23 @@ class TestSymCheckerboards:
                 assert count_sym_checkerboards(g.adj, sign) == len(found)
 
     def test_count_loop_fallback_matches_vectorised(self):
-        # n > 300 routes through the pairwise loop; compare with the tensor
+        # n = 310 takes several row blocks; compare with the per-pair loop
         g = gen_erdos_renyi(310, 0.05, seed=2)
-        loop_count = count_sym_checkerboards(g.adj, NEGATIVE)
+        loop_count = loop_sym_checkerboards(g.adj, NEGATIVE)
+        assert count_sym_checkerboards(g.adj, NEGATIVE) == loop_count > 0
         vec_count = int(graph.sym_board_pair_counts(g.adj, NEGATIVE).sum()) // 2
-        assert loop_count == vec_count > 0
+        assert vec_count == loop_count
+
+    def test_row_counts_match_full_table(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 41))
+            adj = random_graph(rng, n, float(rng.uniform(0.1, 0.9))).adj
+            rows = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+            for sign in (POSITIVE, NEGATIVE):
+                full = graph.sym_board_pair_counts(adj, sign)
+                part = graph.sym_board_pair_counts(adj, sign, rows)
+                assert np.array_equal(part, full[rows] + full[:, rows].T)
 
 
 class TestApplySymSwitch:

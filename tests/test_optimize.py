@@ -4,12 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from switchgraph import optimize
 from switchgraph.binmat import NEGATIVE, BinaryMatrix
+from switchgraph.errors import InternalInvariantViolation
 from switchgraph.graph import (
     Graph,
     find_sym_checkerboards,
     gen_erdos_renyi,
     sort_by_degree,
+    spectral_radius,
+    sym_board_pair_counts,
     zagreb,
 )
 from switchgraph.optimize import (
@@ -132,6 +136,49 @@ class TestRun:
                 assert st.lambda1 is not None
             elif st.step != traj.length:
                 assert st.lambda1 is None
+
+    def test_board_table_stays_exact(self, monkeypatch):
+        # every table run() hands the sampler equals a from-scratch count
+        checked = []
+        sample = optimize.sample_negative_checkerboard
+
+        def checking_sample(adj, rng, counts=None):
+            assert np.array_equal(counts, sym_board_pair_counts(adj, NEGATIVE))
+            checked.append(int(counts.sum()))
+            return sample(adj, rng, counts)
+
+        monkeypatch.setattr(optimize, "sample_negative_checkerboard", checking_sample)
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            g = sorted_er(int(rng.integers(5, 31)), float(rng.uniform(0.2, 0.8)),
+                          int(rng.integers(2**31)))
+            before = len(checked)
+            traj = run(g, budget=10**6, lambda_every=0, seed=int(rng.integers(2**31)))
+            assert traj.termination == TERMINATION_SINK
+            assert len(checked) - before == traj.length + 1 and checked[-1] == 0
+        assert sum(checked) > 0
+
+    def test_stale_table_at_sink_raises(self, monkeypatch):
+        # a table that reads empty while boards remain must not pass as a sink
+        monkeypatch.setattr(
+            optimize, "sample_negative_checkerboard", lambda adj, rng, counts=None: None
+        )
+        with pytest.raises(InternalInvariantViolation):
+            run(sorted_er(14, 0.4, seed=19), budget=10, lambda_every=0, seed=1)
+
+    def test_lambda_stats(self, monkeypatch):
+        g = sorted_er(20, 0.3, seed=23)
+        traj = run(g, budget=12, lambda_every=5, seed=6)
+        # initial, steps 5 and 10, final
+        assert traj.stats.lambda_samples == 4
+        assert traj.stats.power_iterations > traj.stats.lambda_samples
+        assert traj.stats.lambda_nonconverged == 0
+        monkeypatch.setattr(
+            optimize, "spectral_radius", lambda G, tol: spectral_radius(G, tol, max_iter=3)
+        )
+        capped = run(g, budget=12, lambda_every=5, seed=6)
+        assert capped.stats.lambda_nonconverged == capped.stats.lambda_samples == 4
+        assert capped.stats.power_iterations == 12
 
     def test_reproducible(self):
         g = sorted_er(25, 0.3, seed=29)

@@ -322,8 +322,17 @@ def _prefix_runs(bits: np.ndarray) -> np.ndarray:
     return padded.argmax(axis=1)
 
 
-def _suffix_runs(bits: np.ndarray) -> np.ndarray:
-    return _prefix_runs(bits[:, ::-1])
+def _nested_rows(bits: np.ndarray) -> int:
+    """Number of leading rows that form a nested block, in one O(pq) pass.
+
+    Both conditions are local: each row is a prefix run of 1s (it never
+    rises), and each run is no longer than the one above.  So the rows
+    [0, h) are nested exactly when h <= _nested_rows(bits).
+    """
+    runs = bits.sum(axis=1)
+    good = (bits[:, 1:] <= bits[:, :-1]).all(axis=1)
+    good[1:] &= runs[1:] <= runs[:-1]
+    return bits.shape[0] if good.all() else int(good.argmin())
 
 
 def is_nested(bits: np.ndarray) -> bool:
@@ -332,108 +341,50 @@ def is_nested(bits: np.ndarray) -> bool:
     Equivalent formulation used here: every row is a prefix run of 1s and
     the run lengths are non-increasing from top to bottom.
     """
-    if bits.shape[0] == 0 or bits.shape[1] == 0:
-        return True
-    runs = _prefix_runs(bits)
-    if not (runs == bits.sum(axis=1)).all():
-        return False
-    return bool((np.diff(runs) <= 0).all())
+    return _nested_rows(bits) == bits.shape[0]
 
 
 def is_anti_nested(bits: np.ndarray) -> bool:
-    """True when 0s precede 1s in every row and column."""
-    if bits.shape[0] == 0 or bits.shape[1] == 0:
-        return True
-    runs = _suffix_runs(bits)
-    if not (runs == bits.sum(axis=1)).all():
-        return False
-    return bool((np.diff(runs) >= 0).all())
+    """True when 0s precede 1s in every row and column, that is when the
+    half turn (rows and columns reversed) is nested."""
+    return is_nested(bits[::-1, ::-1])
 
 
-def _greedy_prefix_peel(bits: np.ndarray) -> np.ndarray | None:
-    """Peel the maximal top-left staircase of 1s; None if the rest is not
-    anti-nested.  Returns the per-row prefix lengths of the nested part."""
-    p, q = bits.shape
-    runs = _prefix_runs(bits)
-    lengths = np.empty(p, dtype=np.int64)
-    cap = q
-    for i in range(p):
-        cap = min(cap, int(runs[i]))
-        lengths[i] = cap
-    rest = bits.copy()
-    for i in range(p):
-        rest[i, : lengths[i]] = 0
-    return lengths if is_anti_nested(rest) else None
+def _split_facts(bits: np.ndarray) -> tuple[bool, bool]:
+    """(some row cut splits ``bits``, some such cut has a 1 on both sides).
+
+    The cuts h with rows [0, h) nested and rows [h, p) anti-nested are
+    exactly the integers of [p - nested rows of the half turn, nested
+    rows]: a nested top stays nested when shortened, and so does an
+    anti-nested bottom, which the half turn maps to a nested top.
+    """
+    lo = bits.shape[0] - _nested_rows(bits[::-1, ::-1])
+    hi = _nested_rows(bits)
+    filled = np.flatnonzero(bits.any(axis=1))
+    # a cut h has a 1 above it when h > first filled row, below when h <= last
+    two_sided = filled.size > 0 and max(lo, filled[0] + 1) <= min(hi, filled[-1])
+    return lo <= hi, bool(two_sided)
 
 
-def _greedy_suffix_peel(bits: np.ndarray) -> np.ndarray | None:
-    """Symmetric greedy from the bottom-right; the rest must be nested."""
-    p, q = bits.shape
-    runs = _suffix_runs(bits)
-    lengths = np.empty(p, dtype=np.int64)
-    cap = q
-    for i in range(p - 1, -1, -1):
-        cap = min(cap, int(runs[i]))
-        lengths[i] = cap
-    rest = bits.copy()
-    for i in range(p):
-        if lengths[i]:
-            rest[i, q - lengths[i]:] = 0
-    return lengths if is_nested(rest) else None
+def _zebra_parts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    lengths = np.minimum.accumulate(_prefix_runs(bits))
+    nested = (np.arange(bits.shape[1]) < lengths[:, None]).astype(np.int8)
+    rest = (bits - nested).astype(np.int8)
+    return (nested, rest) if is_anti_nested(rest) else None
 
 
 def zebra_parts(A: BinaryMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """A decomposition A = N + AN with N nested and AN anti-nested, disjoint.
 
-    Found greedily (maximal top-left staircase, then the symmetric greedy
-    from the bottom-right, then the split scans); None when all fail.
+    N is the maximal top-left staircase of 1s, and A is a zebra exactly
+    when the rest is anti-nested; None otherwise.  The peel is exact: if
+    A = N + AN with row lengths n_i and a_i, the staircase has length n_i
+    on every row that is not full and repeats the row above on a full row,
+    so the rest's suffix runs are a_i or q - (staircase length), and they
+    are non-decreasing in each of the four full/not-full cases of two
+    consecutive rows.
     """
-    bits = A.bits
-    p, q = bits.shape
-    lengths = _greedy_prefix_peel(bits)
-    if lengths is not None:
-        nested = np.zeros_like(bits)
-        for i in range(p):
-            nested[i, : lengths[i]] = bits[i, : lengths[i]]
-        return nested, (bits - nested).astype(np.int8)
-    lengths = _greedy_suffix_peel(bits)
-    if lengths is not None:
-        anti = np.zeros_like(bits)
-        for i in range(p):
-            if lengths[i]:
-                anti[i, q - lengths[i]:] = bits[i, q - lengths[i]:]
-        return (bits - anti).astype(np.int8), anti
-    h = _h_split_positions(bits)
-    if h:
-        nested = bits.copy()
-        nested[h[0]:, :] = 0
-        return nested, (bits - nested).astype(np.int8)
-    v = _v_split_positions(bits)
-    if v:
-        nested = bits.copy()
-        nested[:, v[0]:] = 0
-        return nested, (bits - nested).astype(np.int8)
-    return None
-
-
-def _h_split_positions(bits: np.ndarray) -> list[int]:
-    """Row cuts h so rows [0, h) are nested and rows [h, p) anti-nested."""
-    p = bits.shape[0]
-    return [
-        h
-        for h in range(p + 1)
-        if is_nested(bits[:h]) and is_anti_nested(bits[h:])
-    ]
-
-
-def _v_split_positions(bits: np.ndarray) -> list[int]:
-    """Column cuts v so the left block is nested, the right anti-nested."""
-    q = bits.shape[1]
-    return [
-        v
-        for v in range(q + 1)
-        if is_nested(bits[:, :v]) and is_anti_nested(bits[:, v:])
-    ]
+    return _zebra_parts(A.bits)
 
 
 @dataclass(frozen=True)
@@ -485,20 +436,14 @@ class MatrixClass:
         }
 
 
-def _zebra_facts(bits: np.ndarray):
-    """(zebra, split_h, split_v, degenerate) for the zebra family."""
-    h_cuts = _h_split_positions(bits)
-    v_cuts = _v_split_positions(bits)
-    zebra = bool(h_cuts or v_cuts)
-    if not zebra:
-        zebra = _greedy_prefix_peel(bits) is not None or _greedy_suffix_peel(bits) is not None
-    degenerate = False
-    if h_cuts or v_cuts:
-        nontrivial = any(
-            bits[:h].any() and bits[h:].any() for h in h_cuts
-        ) or any(bits[:, :v].any() and bits[:, v:].any() for v in v_cuts)
-        degenerate = not nontrivial
-    return zebra, bool(h_cuts), bool(v_cuts), degenerate
+def _zebra_split(bits: np.ndarray) -> tuple[bool, bool, bool]:
+    """(split_h, split_v, degenerate) for the zebra family: a row or column
+    cut splits ``bits`` into a nested and an anti-nested part, and
+    degenerate when no such cut has a 1 on both sides."""
+    split_h, two_sided_h = _split_facts(bits)
+    split_v, two_sided_v = _split_facts(bits.T)
+    degenerate = (split_h or split_v) and not (two_sided_h or two_sided_v)
+    return split_h, split_v, degenerate
 
 
 def classify(A: BinaryMatrix) -> MatrixClass:
@@ -510,26 +455,30 @@ def classify(A: BinaryMatrix) -> MatrixClass:
     reflection of a zebra, so its flags are read off the transformed
     matrix.  An empty part is permitted and reported via
     ``degenerate_split``.
+
+    Every flag comes from one nested-prefix scan: the row cuts with a
+    nested top and an anti-nested bottom form the interval
+    [p - nested rows of the half turn, nested rows], column cuts the same
+    on the transpose, and the zebra test is the staircase peel of
+    :func:`zebra_parts`.
     """
     bits = A.bits
-    zebra, sh, sv, degen_z = _zebra_facts(bits)
     anti_bits = (1 - bits[::-1]).astype(np.int8)
-    anti, ash, asv, degen_a = _zebra_facts(anti_bits)
-    comp_bits = (1 - bits).astype(np.int8)
-    _, csh, csv, _ = _zebra_facts(comp_bits)
-    comp_anti_bits = bits[::-1].copy()
-    _, cash, casv, _ = _zebra_facts(comp_anti_bits)
+    sh, sv, degen_z = _zebra_split(bits)
+    ash, asv, degen_a = _zebra_split(anti_bits)
+    csh, csv, _ = _zebra_split(1 - bits)
+    cash, casv, _ = _zebra_split(bits[::-1])
     return MatrixClass(
         nested=is_nested(bits),
         anti_nested=is_anti_nested(bits),
-        zebra=zebra,
+        zebra=_zebra_parts(bits) is not None,
         zebra_split_h=sh,
         zebra_split_v=sv,
-        anti_zebra=anti,
+        anti_zebra=_zebra_parts(anti_bits) is not None,
         anti_zebra_split_h=ash,
         anti_zebra_split_v=asv,
-        complement_of_split=bool(csh or csv or cash or casv),
-        degenerate_split=bool((sh or sv) and degen_z or (ash or asv) and degen_a),
+        complement_of_split=csh or csv or cash or casv,
+        degenerate_split=degen_z or degen_a,
     )
 
 

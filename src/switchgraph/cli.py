@@ -432,6 +432,23 @@ def _cmd_scan_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ranged(kind, low, high=float("inf")):
+    """argparse type: a ``kind`` value in [low, high], else a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{text} is out of range [{low}, {high}]")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
+    return parse
+
+
+_COUNT = _ranged(int, 1)
+_FRACTION = _ranged(float, 0.0, 1.0)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="switchgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -439,13 +456,13 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a matrix file")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     g_er = gen_sub.add_parser("er", help="Erdos-Renyi G(n, p)")
-    g_er.add_argument("--n", type=int, required=True)
-    g_er.add_argument("--p", type=float, required=True)
+    g_er.add_argument("--n", type=_COUNT, required=True)
+    g_er.add_argument("--p", type=_FRACTION, required=True)
     g_er.add_argument("--seed", type=int, default=0)
     g_er.add_argument("--out", required=True)
     g_grid = gen_sub.add_parser("grid", help="grid with random rewiring")
-    g_grid.add_argument("--side", type=int, required=True)
-    g_grid.add_argument("--rewire", type=float, default=0.0)
+    g_grid.add_argument("--side", type=_COUNT, required=True)
+    g_grid.add_argument("--rewire", type=_FRACTION, default=0.0)
     g_grid.add_argument("--seed", type=int, default=0)
     g_grid.add_argument("--out", required=True)
     g_zebra = gen_sub.add_parser("zebra", help="split zebra from a margins file")
@@ -470,10 +487,10 @@ def _build_parser() -> _Parser:
     opt = sub.add_parser("optimize", help="random positive-switch run")
     opt.add_argument("--input")
     opt.add_argument("--gen", choices=["er", "grid"])
-    opt.add_argument("--n", type=int, default=100)
-    opt.add_argument("--p", type=float, default=0.2)
-    opt.add_argument("--side", type=int, default=10)
-    opt.add_argument("--rewire", type=float, default=0.1)
+    opt.add_argument("--n", type=_COUNT, default=100)
+    opt.add_argument("--p", type=_FRACTION, default=0.2)
+    opt.add_argument("--side", type=_COUNT, default=10)
+    opt.add_argument("--rewire", type=_FRACTION, default=0.1)
     opt.add_argument("--budget", type=int, default=100000)
     opt.add_argument("--lambda-every", type=int, default=25)
     opt.add_argument("--seed", type=int, default=0)
@@ -488,7 +505,7 @@ def _build_parser() -> _Parser:
 
     scan = sub.add_parser("scan-conjecture", help="randomised conjecture scan")
     scan.add_argument("--trials", type=int, default=100)
-    scan.add_argument("--max-dim", type=int, default=4)
+    scan.add_argument("--max-dim", type=_ranged(int, 2), default=4)
     scan.add_argument("--max-entry", type=int, default=3)
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--out")

@@ -30,6 +30,7 @@ from .errors import InternalInvariantViolation
 from .graph import (
     Graph,
     count_sym_checkerboards,
+    m2_switch_delta,
     spectral_radius,
     sym_board_pair_counts,
     sym_switch_inplace,
@@ -170,8 +171,8 @@ def run(
     adj = G0.writable_adj()
     degrees = G0.degrees.copy()
     m = G0.m
-    m2 = _zagreb_m2(adj, degrees)
-    z2 = math.sqrt(m2 / m) if m else None
+    m2_initial = m2 = _zagreb_m2(adj, degrees)
+    z2_initial = math.sqrt(m2 / m) if m else None
     stats = RunStats()
     lam0 = stats.lambda1(G0, tol)
     counts = sym_board_pair_counts(adj, NEGATIVE)
@@ -188,10 +189,7 @@ def run(
             break
         sym_switch_inplace(adj, coord, POSITIVE)
         _refresh(counts, adj, coord)
-        m2 += int(
-            (degrees[coord.i - 1] - degrees[coord.j - 1])
-            * (degrees[coord.k - 1] - degrees[coord.l - 1])
-        )
+        m2 += m2_switch_delta(degrees, coord)
         z2 = math.sqrt(m2 / m)
         lam = None
         if lambda_every and step % lambda_every == 0:
@@ -207,8 +205,8 @@ def run(
         termination=termination,
         initial=G0,
         final=final,
-        M2_initial=_zagreb_m2(G0.adj, G0.degrees),
-        Z2_initial=math.sqrt(_zagreb_m2(G0.adj, G0.degrees) / m) if m else None,
+        M2_initial=m2_initial,
+        Z2_initial=z2_initial,
         lambda1_initial=lam0,
         lambda1_final=lam_final,
         stats=stats,

@@ -124,7 +124,8 @@ class MatrixClassDAG:
     """Explicit switch order on one margin class.
 
     ``arcs[v]`` lists (destination index, switch coordinate) for every
-    positive switch leaving matrix ``v``.
+    positive switch leaving matrix ``v``.  Sinks have no arc out, sources
+    no arc in.
     """
 
     matrices: list[BinaryMatrix]
@@ -138,8 +139,19 @@ class MatrixClassDAG:
         return sum(len(a) for a in self.arcs)
 
 
+def _unentered(n: int, arcs: list[list[tuple[int, Switch]]]) -> list[int]:
+    """Vertices with no arc in.  In a closed class each positive board of a
+    member is the far end of exactly one arc, so these are the members
+    without a positive board."""
+    entered = [False] * n
+    for out in arcs:
+        for dest, _ in out:
+            entered[dest] = True
+    return [v for v in range(n) if not entered[v]]
+
+
 def build_dag(matrices: Sequence[BinaryMatrix]) -> MatrixClassDAG:
-    """Arcs from exhaustive checkerboard enumeration over the class."""
+    """Arcs from exhaustive checkerboard enumeration over a whole class."""
     mats = list(matrices)
     if not mats:
         return MatrixClassDAG([], {}, [])
@@ -150,17 +162,14 @@ def build_dag(matrices: Sequence[BinaryMatrix]) -> MatrixClassDAG:
             raise MarginSumMismatch("matrices do not share margins")
         index[mat.key()] = pos
     arcs: list[list[tuple[int, Switch]]] = []
-    has_positive = []
     for mat in mats:
         out = []
         for cb in binmat.find_checkerboards(mat, NEGATIVE):
             dest = binmat.apply_switch(mat, cb.coord, POSITIVE)
             out.append((index[dest.key()], cb.coord))
         arcs.append(out)
-        has_positive.append(bool(binmat.find_checkerboards(mat, POSITIVE)))
     sinks = [v for v, out in enumerate(arcs) if not out]
-    sources = [v for v, flag in enumerate(has_positive) if not flag]
-    return MatrixClassDAG(mats, index, arcs, sources, sinks)
+    return MatrixClassDAG(mats, index, arcs, _unentered(len(mats), arcs), sinks)
 
 
 def topological_order(dag: MatrixClassDAG) -> list[int] | None:
@@ -283,13 +292,9 @@ def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
         )
 
     # Singleton criterion: a class is a singleton exactly when some member
-    # has no checkerboard at all; such a member is nested once rows and
-    # columns are ordered by non-increasing sums.
-    free = [
-        v
-        for v, m in enumerate(dag.matrices)
-        if not binmat.find_checkerboards(m)
-    ]
+    # has no checkerboard at all (no arc out and no arc in); such a member
+    # is nested once rows and columns are ordered by non-increasing sums.
+    free = set(dag.sinks).intersection(dag.sources)
     singleton_nested = "pass"
     if len(dag.matrices) == 1:
         if not free:
@@ -521,11 +526,10 @@ class GraphClassDAG:
 
 
 def build_graph_dag(graphs: Sequence[Graph]) -> GraphClassDAG:
-    """Directed switch graph on a degree class (symmetric switches)."""
+    """Directed switch graph on a whole degree class (symmetric switches)."""
     gs = list(graphs)
     index = {g.key(): pos for pos, g in enumerate(gs)}
     arcs: list[list[tuple[int, Switch]]] = []
-    n_pos = []
     for g in gs:
         out = []
         for sw in find_sym_checkerboards(g, NEGATIVE):
@@ -533,10 +537,8 @@ def build_graph_dag(graphs: Sequence[Graph]) -> GraphClassDAG:
             sym_switch_inplace(adj, sw, POSITIVE)
             out.append((index[adj.tobytes()], sw))
         arcs.append(out)
-        n_pos.append(count_sym_checkerboards(g.adj, POSITIVE))
     sinks = [v for v, out in enumerate(arcs) if not out]
-    sources = [v for v, k in enumerate(n_pos) if k == 0]
-    return GraphClassDAG(gs, index, arcs, sources, sinks)
+    return GraphClassDAG(gs, index, arcs, _unentered(len(gs), arcs), sinks)
 
 
 @dataclass

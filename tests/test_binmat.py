@@ -338,6 +338,148 @@ class TestClassify:
             assert binmat.is_nested(A.bits) == (not find_checkerboards(A))
 
 
+def ref_nested(b):
+    """1s precede 0s in every row and every column."""
+    return bool((b[1:] <= b[:-1]).all() and (b[:, 1:] <= b[:, :-1]).all())
+
+
+def ref_anti_nested(b):
+    """0s precede 1s in every row and every column."""
+    return bool((b[1:] >= b[:-1]).all() and (b[:, 1:] >= b[:, :-1]).all())
+
+
+def ref_h_split_positions(b):
+    """Every row cut h with rows [0, h) nested and rows [h, p) anti-nested."""
+    return [h for h in range(b.shape[0] + 1) if ref_nested(b[:h]) and ref_anti_nested(b[h:])]
+
+
+def ref_v_split_positions(b):
+    """Every column cut v with the left block nested and the right anti-nested."""
+    return [
+        v for v in range(b.shape[1] + 1) if ref_nested(b[:, :v]) and ref_anti_nested(b[:, v:])
+    ]
+
+
+def ref_zebra(b):
+    """Staircase enumeration: does some nested N <= A leave A - N anti-nested?
+
+    N runs over every staircase (non-increasing row lengths) inside the 1s
+    of A; a branch stops once the rows chosen so far are not anti-nested,
+    since no later row can repair that.
+    """
+    b = np.asarray(b, dtype=int)
+    p, q = b.shape
+    rest = b.copy()
+
+    def rec(i, cap):
+        if i == p:
+            return True
+        for n in range(cap, -1, -1):
+            if not b[i, :n].all():
+                continue
+            rest[i] = b[i]
+            rest[i, :n] = 0
+            if ref_anti_nested(rest[: i + 1]) and rec(i + 1, n):
+                return True
+        return False
+
+    return rec(0, q)
+
+
+def ref_split_family(b):
+    """(split_h, split_v, degenerate) from the explicit cut lists."""
+    h_cuts = ref_h_split_positions(b)
+    v_cuts = ref_v_split_positions(b)
+    nontrivial = any(b[:h].any() and b[h:].any() for h in h_cuts) or any(
+        b[:, :v].any() and b[:, v:].any() for v in v_cuts
+    )
+    return bool(h_cuts), bool(v_cuts), bool(h_cuts or v_cuts) and not nontrivial
+
+
+def ref_flags(bits):
+    """Every flag of :func:`classify`, from the reference scans above."""
+    b = np.asarray(bits, dtype=int)
+    anti_b = 1 - b[::-1]
+    sh, sv, degen_z = ref_split_family(b)
+    ash, asv, degen_a = ref_split_family(anti_b)
+    comp = ref_split_family(1 - b)[:2] + ref_split_family(b[::-1])[:2]
+    flags = {
+        "nested": ref_nested(b),
+        "anti_nested": ref_anti_nested(b),
+        "zebra": ref_zebra(b),
+        "zebra_split_h": sh,
+        "zebra_split_v": sv,
+        "anti_zebra": ref_zebra(anti_b),
+        "anti_zebra_split_h": ash,
+        "anti_zebra_split_v": asv,
+        "complement_of_split": any(comp),
+        "degenerate_split": degen_z or degen_a,
+    }
+    flags["none"] = not any(
+        flags[k] for k in ("nested", "anti_nested", "zebra", "anti_zebra", "complement_of_split")
+    )
+    return flags
+
+
+def random_zebra(rng, p, q):
+    """A disjoint sum of a random staircase and a random anti-staircase."""
+    n = np.sort(rng.integers(0, q + 1, p))[::-1]
+    a = np.minimum(np.sort(rng.integers(0, q + 1, p)), q - n)
+    cols = np.arange(q)
+    return ((cols < n[:, None]) | (cols >= q - a[:, None])).astype(int)
+
+
+def assert_matches_reference(bits):
+    """Compare every flag and the zebra decomposition; return the flags."""
+    A = BinaryMatrix(bits)
+    want = ref_flags(A.bits)
+    assert classify(A).flags() == want, A
+    parts = binmat.zebra_parts(A)
+    assert (parts is not None) == want["zebra"], A
+    if parts is not None:
+        nested_part, anti_part = parts
+        assert ref_nested(nested_part) and ref_anti_nested(anti_part), A
+        assert ((nested_part + anti_part) == A.bits).all(), A
+        assert not (nested_part & anti_part).any(), A
+    return want
+
+
+def all_matrices(p, q):
+    for bits in itertools.product([0, 1], repeat=p * q):
+        yield np.array(bits, dtype=int).reshape(p, q)
+
+
+class TestClassifyReference:
+    """``classify`` and ``zebra_parts`` against explicit cut lists and
+    staircase enumeration."""
+
+    def test_exhaustive_up_to_3x3(self):
+        for p, q in itertools.product(range(1, 4), repeat=2):
+            for bits in all_matrices(p, q):
+                assert_matches_reference(bits)
+
+    def test_exhaustive_4_by_3_and_3_by_4(self):
+        for p, q in ((1, 4), (4, 1), (2, 4), (4, 2), (3, 4), (4, 3)):
+            for bits in all_matrices(p, q):
+                assert_matches_reference(bits)
+
+    def test_seeded_sample_up_to_8x8(self):
+        rng = np.random.default_rng(2024)
+        seen = {"zebra": 0, "anti_zebra": 0}
+        for t in range(2000):
+            p, q = (int(x) for x in rng.integers(1, 9, 2))
+            if t % 2 == 0:
+                bits = (rng.random((p, q)) < rng.uniform(0.1, 0.9)).astype(int)
+            else:
+                bits = random_zebra(rng, p, q)
+                if t % 4 == 3:
+                    bits = 1 - bits[::-1]
+            flags = assert_matches_reference(bits)
+            seen["zebra"] += flags["zebra"]
+            seen["anti_zebra"] += flags["anti_zebra"]
+        assert min(seen.values()) >= 500
+
+
 class TestForbiddenPatterns:
     def test_zebras_lack_forbidden_patterns(self):
         # one direction of the geometric characterisation, exhaustively small

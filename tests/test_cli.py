@@ -311,6 +311,29 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "gen", "er", "--n", "5")[0] == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "er", "--n", "0", "--p", "0.3"),
+            ("gen", "er", "--n", "5", "--p", "-0.1"),
+            ("gen", "grid", "--side", "0"),
+            ("gen", "grid", "--side", "3", "--rewire", "2"),
+            ("optimize", "--gen", "er", "--p", "1.5"),
+            ("optimize", "--gen", "er", "--n", "0"),
+            ("optimize", "--gen", "grid", "--rewire", "2"),
+            ("optimize", "--gen", "grid", "--side", "-1"),
+            ("scan-conjecture", "--max-dim", "1"),
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.mat"
+        if argv[0] == "gen":
+            argv += ("--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 64 and stdout == ""
+        assert "out of range" in err
+        assert not out.exists()
+
 
 class TestRoundTrip:
     def test_written_matrices_reparse_identically(self, tmp_path, capsys):

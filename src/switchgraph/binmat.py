@@ -161,61 +161,60 @@ def row_col_sums(A: BinaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+# Scratch elements per block of the row-blocked board scans (here and in
+# ``graph.sym_board_pair_counts``): a block of r rows holds r times the
+# scan's cells per row.
+_BLOCK_CELLS = 1 << 20
+
+
+def board_coords(bits: np.ndarray, sign: str) -> np.ndarray:
+    """All boards of one sign as an N x 4 array of 1-based (i, j, k, l),
+    i < j and k < l, in lexicographic order.
+
+    A negative board has 0 at (i, k) and (j, l) and 1 at (i, l) and
+    (j, k); a positive board is the reverse.  One boolean mask over
+    (i, j, k, l) marks the pattern and ``np.argwhere`` lists it in C order,
+    which is lexicographic.  Rows i are taken in blocks of
+    ``_BLOCK_CELLS // (p * q**2)`` (at least one).
+    """
+    if sign not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"unknown sign {sign!r}")
+    a = np.asarray(bits, dtype=bool)
+    p, q = a.shape
+    # ones_zeros[r, k, l]: row r reads 1 at k and 0 at l, for k < l
+    upper = np.triu(np.ones((q, q), dtype=bool), k=1)
+    ones_zeros = a[:, :, None] & ~a[:, None, :] & upper
+    zeros_ones = ~a[:, :, None] & a[:, None, :] & upper
+    top, bottom = (ones_zeros, zeros_ones) if sign == POSITIVE else (zeros_ones, ones_zeros)
+    rows = np.arange(p)
+    step = max(1, _BLOCK_CELLS // (p * q * q))
+    blocks = []
+    for start in range(0, p, step):
+        below = rows[start : start + step, None] < rows
+        mask = top[start : start + step, None] & bottom & below[:, :, None, None]
+        found = np.argwhere(mask)
+        found[:, 0] += start
+        blocks.append(found)
+    return np.concatenate(blocks) + 1
+
+
 def find_checkerboards(A: BinaryMatrix, sign: str | None = None) -> list[Checkerboard]:
     """Enumerate all checkerboards of ``A`` in lexicographic coordinate order.
 
     ``sign`` restricts the result to "positive" or "negative" boards; the
-    scan is the O(p^2 q^2) full enumeration.
+    scan is the O(p^2 q^2) full enumeration of :func:`board_coords`.
     """
     if sign is not None and sign not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown sign {sign!r}")
-    bits = A.bits
-    p, _ = bits.shape
-    found: list[Checkerboard] = []
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            d = bits[i].astype(np.int16) - bits[j]
-            pos_cols = np.flatnonzero(d == 1)
-            neg_cols = np.flatnonzero(d == -1)
-            if sign != NEGATIVE:
-                for k in pos_cols:
-                    for l in neg_cols:
-                        if l > k:
-                            found.append(
-                                Checkerboard(
-                                    Switch(i + 1, j + 1, int(k) + 1, int(l) + 1),
-                                    POSITIVE,
-                                )
-                            )
-            if sign != POSITIVE:
-                for k in neg_cols:
-                    for l in pos_cols:
-                        if l > k:
-                            found.append(
-                                Checkerboard(
-                                    Switch(i + 1, j + 1, int(k) + 1, int(l) + 1),
-                                    NEGATIVE,
-                                )
-                            )
-    found.sort(key=lambda cb: cb.coord)
+    found = [
+        Checkerboard(Switch(*coord), s)
+        for s in (POSITIVE, NEGATIVE)
+        if sign in (None, s)
+        for coord in board_coords(A.bits, s).tolist()
+    ]
+    if sign is None:
+        found.sort(key=lambda cb: cb.coord)
     return found
-
-
-def first_negative_checkerboard(bits: np.ndarray) -> Switch | None:
-    """Lexicographically first negative checkerboard of a raw bit array."""
-    p, _ = bits.shape
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            d = bits[i].astype(np.int16) - bits[j]
-            neg_cols = np.flatnonzero(d == -1)
-            if neg_cols.size == 0:
-                continue
-            pos_cols = np.flatnonzero(d == 1)
-            for k in neg_cols:
-                later = pos_cols[pos_cols > k]
-                if later.size:
-                    return Switch(i + 1, j + 1, int(k) + 1, int(later[0]) + 1)
-    return None
 
 
 _NEG_PATTERN = np.array([[0, 1], [1, 0]], dtype=np.int8)

@@ -107,27 +107,12 @@ def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
         raise ValueError("graph operations expect degree-sorted vertices")
     if sign not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown sign {sign!r}")
-    adj = G.adj
-    n = G.n
-    hi, lo = (1, -1) if sign == POSITIVE else (-1, 1)
-    out: list[Switch] = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = adj[i].astype(np.int16) - adj[j]
-            d[i] = d[j] = 0
-            first = np.flatnonzero(d == hi)
-            second = np.flatnonzero(d == lo)
-            for k in first:
-                for l in second:
-                    if l > k and (i, j) <= (int(k), int(l)):
-                        out.append(Switch(i + 1, j + 1, int(k) + 1, int(l) + 1))
-    out.sort()
-    return out
-
-
-# Scratch elements per block of ``sym_board_pair_counts``: a block of r rows
-# holds r * n * n entries, about 8 bytes each.
-_BLOCK_CELLS = 1 << 20
+    # negative (positive) boards of the adjacency matrix with four distinct
+    # vertices, each symmetric pair once: (i, j) before (k, l) means i < k
+    b = binmat.board_coords(G.adj, sign)
+    i, j, k, l = b.T
+    keep = (i < k) & (k != j) & (l != j)
+    return [Switch(*coord) for coord in b[keep].tolist()]
 
 
 def sym_board_pair_counts(
@@ -145,9 +130,10 @@ def sym_board_pair_counts(
     full table, with 0 at b == rows[t].  A switch changes only its four
     rows, so these are the only pairs it can change.
 
-    O(n) per pair.  Rows are taken in blocks of ``_BLOCK_CELLS // n**2``
-    (at least one), so scratch stays near 8 MB up to n = 1024 and near
-    8 n^2 bytes beyond.
+    O(n) per pair.  Rows are taken in blocks of
+    ``binmat._BLOCK_CELLS // n**2`` (at least one), about 8 bytes per
+    entry, so scratch stays near 8 MB up to n = 1024 and near 8 n^2 bytes
+    beyond.
     """
     a = np.asarray(adj, dtype=np.int8)
     n = a.shape[0]
@@ -155,7 +141,7 @@ def sym_board_pair_counts(
     every = np.arange(n)
     picked = every if rows is None else np.asarray(rows, dtype=np.intp)
     out = np.empty((picked.size, n), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // (n * n))
+    step = max(1, binmat._BLOCK_CELLS // (n * n))
     for start in range(0, picked.size, step):
         block = picked[start : start + step]
         # d[t, b, k] = a[i, k] - a[j, k] for the pair i < j of {block[t], b},
@@ -298,19 +284,13 @@ def spectral_radius(G: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
             converged = True
             break
         ray_prev = ray
-    lam = ray - 1.0
-    d = G.degrees.astype(np.int64)
-    m1 = int((d * d).sum())
-    m2 = int(d @ G.adj.astype(np.int64) @ d) // 2
-    z1 = math.sqrt(m1 / n)
-    if G.m > 0:
-        z2 = math.sqrt(m2 / G.m)
+    if G.m:
+        m1, m2, z1, z2 = zagreb(G)
         r = assortativity(G)
     else:
-        z2 = None
-        r = None
+        m1, m2, z1, z2, r = 0, 0, 0.0, None, None
     return SpectralReport(
-        lambda1=lam,
+        lambda1=ray - 1.0,
         eigvec=v,
         M1=m1,
         M2=m2,
@@ -444,11 +424,8 @@ def gen_split_zebra(R, C) -> BinaryMatrix:
     """
     A = binmat.from_margins(R, C)
     bits = A.writable_bits()
-    while True:
-        sw = binmat.first_negative_checkerboard(bits)
-        if sw is None:
-            break
-        binmat.switch_bits_inplace(bits, sw, POSITIVE)
+    while (boards := binmat.board_coords(bits, NEGATIVE)).size:
+        binmat.switch_bits_inplace(bits, boards[0], POSITIVE)
     result = BinaryMatrix(bits)
     cls = binmat.classify(result)
     if cls.is_split_zebra or cls.is_split_anti_zebra:

@@ -34,6 +34,7 @@ from .graph import (
     spectral_radius,
     sym_board_pair_counts,
     sym_switch_inplace,
+    zagreb,
 )
 
 TERMINATION_SINK = "SinkReached"
@@ -94,10 +95,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return len(self.steps)
-
-
-def _zagreb_m2(adj: np.ndarray, degrees: np.ndarray) -> int:
-    return int(degrees @ adj.astype(np.int64) @ degrees) // 2
 
 
 def _locate(weights: np.ndarray, pick: int) -> tuple[int, int]:
@@ -171,8 +168,8 @@ def run(
     adj = G0.writable_adj()
     degrees = G0.degrees.copy()
     m = G0.m
-    m2_initial = m2 = _zagreb_m2(adj, degrees)
-    z2_initial = math.sqrt(m2 / m) if m else None
+    _, m2_initial, _, z2_initial = zagreb(G0) if m else (0, 0, 0.0, None)
+    m2 = m2_initial
     stats = RunStats()
     lam0 = stats.lambda1(G0, tol)
     counts = sym_board_pair_counts(adj, NEGATIVE)

@@ -362,6 +362,7 @@ class ConjectureRecord:
     diff_key: bytes
     cond_i: bool
     cond_ii: bool
+    cond_iii: bool
     pairs: int
     reachable_pairs: int
     example_pair: tuple[int, int]
@@ -407,6 +408,7 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     necessity_ok = True
     sufficiency_ok = True
     failures: list[str] = []
+    # conditions (ii) and (iii) depend on T alone: evaluated once per record
     groups: dict[bytes, ConjectureRecord] = {}
     for a in range(n):
         for b in range(n):
@@ -420,25 +422,25 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
                 failures.append(f"pair ({a},{b}): reachable but T has negatives")
             if not cond_i:
                 continue
-            _, cond_ii, cond_iii = reach.conditions_from_T(t_vals)
-            if cond_ii and cond_iii and not reachable:
-                sufficiency_ok = False
-                failures.append(
-                    f"pair ({a},{b}): conditions (i)-(iii) hold but BFS finds no path"
-                )
             key = t_vals.tobytes()
             rec = groups.get(key)
             if rec is None:
-                rec = ConjectureRecord(
+                _, cond_ii, cond_iii = reach.conditions_from_T(t_vals)
+                rec = groups[key] = ConjectureRecord(
                     margins=margins,
                     diff_key=key,
                     cond_i=cond_i,
                     cond_ii=cond_ii,
+                    cond_iii=cond_iii,
                     pairs=0,
                     reachable_pairs=0,
                     example_pair=(a, b),
                 )
-                groups[key] = rec
+            if rec.cond_ii and rec.cond_iii and not reachable:
+                sufficiency_ok = False
+                failures.append(
+                    f"pair ({a},{b}): conditions (i)-(iii) hold but BFS finds no path"
+                )
             rec.pairs += 1
             rec.reachable_pairs += int(reachable)
     total_pairs = n * (n - 1)

@@ -213,52 +213,18 @@ def _components(cells: set[Cell]) -> list[frozenset[Cell]]:
 def count_holes(component: frozenset[Cell]) -> int:
     """Bounded complement regions inside the component's bounding box.
 
-    Flood fill of the complement from a 1-cell border; complement regions
-    never reached from the border are holes.
+    The complement within the bounding box grown by one cell splits into
+    4-connected regions; the border ring is connected and lies in exactly
+    one of them, the outside, and every other region is a hole.
     """
     rows = [r for r, _ in component]
     cols = [c for _, c in component]
-    r0, r1 = min(rows) - 1, max(rows) + 1
-    c0, c1 = min(cols) - 1, max(cols) + 1
-    outside: set[Cell] = set()
-    queue = deque([(r0, c0)])
-    outside.add((r0, c0))
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in _ORTHO:
-            nxt = (r + dr, c + dc)
-            if (
-                r0 <= nxt[0] <= r1
-                and c0 <= nxt[1] <= c1
-                and nxt not in outside
-                and nxt not in component
-            ):
-                outside.add(nxt)
-                queue.append(nxt)
-    holes = 0
-    seen: set[Cell] = set()
-    for r in range(r0, r1 + 1):
-        for c in range(c0, c1 + 1):
-            cell = (r, c)
-            if cell in component or cell in outside or cell in seen:
-                continue
-            holes += 1
-            queue = deque([cell])
-            seen.add(cell)
-            while queue:
-                rr, cc = queue.popleft()
-                for dr, dc in _ORTHO:
-                    nxt = (rr + dr, cc + dc)
-                    if (
-                        r0 <= nxt[0] <= r1
-                        and c0 <= nxt[1] <= c1
-                        and nxt not in seen
-                        and nxt not in component
-                        and nxt not in outside
-                    ):
-                        seen.add(nxt)
-                        queue.append(nxt)
-    return holes
+    box = {
+        (r, c)
+        for r in range(min(rows) - 1, max(rows) + 2)
+        for c in range(min(cols) - 1, max(cols) + 2)
+    }
+    return len(_components(box - component)) - 1
 
 
 def _levels_of_values(values: np.ndarray) -> list[PolyominoLevel]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -143,6 +144,54 @@ class TestCheckerboards:
         A = random_binary(rng, 6, 6)
         coords = [c.coord for c in find_checkerboards(A)]
         assert coords == sorted(coords)
+
+    @pytest.mark.parametrize("sign", [None, NEGATIVE])
+    def test_coordinates_are_plain_ints(self, sign):
+        boards = find_checkerboards(BinaryMatrix(RING_A), sign)
+        assert boards
+        for cb in boards:
+            assert all(type(x) is int for x in cb.coord)
+        json.dumps([list(cb.coord) for cb in boards])
+
+
+def board_coords_brute(bits, sign):
+    return [list(sw) for sw, _ in brute_checkerboards(BinaryMatrix(bits), sign)]
+
+
+class TestBoardCoords:
+    def test_every_small_matrix(self):
+        for p, q in itertools.product(range(1, 5), range(1, 5)):
+            if p * q > 12:
+                continue
+            for flat in itertools.product((0, 1), repeat=p * q):
+                bits = np.array(flat, dtype=np.int8).reshape(p, q)
+                for sign in (POSITIVE, NEGATIVE):
+                    got = binmat.board_coords(bits, sign)
+                    assert got.shape[1] == 4
+                    assert got.tolist() == board_coords_brute(bits, sign)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            p, q = (int(x) for x in rng.integers(1, 10, size=2))
+            bits = random_binary(rng, p, q, float(rng.uniform(0.1, 0.9))).bits
+            for sign in (POSITIVE, NEGATIVE):
+                assert binmat.board_coords(bits, sign).tolist() == board_coords_brute(bits, sign)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4])
+    def test_row_blocks(self, monkeypatch, rows_per_block):
+        # 1: every block holds one row; 4: the 9 rows split into 4 + 4 + 1
+        rng = np.random.default_rng(43)
+        p, q = 9, 7
+        monkeypatch.setattr(binmat, "_BLOCK_CELLS", rows_per_block * p * q * q)
+        for _ in range(10):
+            bits = random_binary(rng, p, q).bits
+            for sign in (POSITIVE, NEGATIVE):
+                assert binmat.board_coords(bits, sign).tolist() == board_coords_brute(bits, sign)
+
+    def test_unknown_sign(self):
+        with pytest.raises(ValueError):
+            binmat.board_coords(np.eye(2, dtype=np.int8), "neutral")
 
 
 class TestApplySwitch:

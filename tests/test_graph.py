@@ -393,6 +393,36 @@ class TestGenerators:
         assert cls.is_split_zebra or cls.is_split_anti_zebra
         assert binmat.row_col_sums(out) == ((2, 1, 1), (2, 1, 1))
 
+    def test_split_zebra_matches_reference_walk(self):
+        # reference: from the greedy realisation, switch the first negative
+        # board found by brute force until none is left
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            p, q = (int(x) for x in rng.integers(1, 7, size=2))
+            A = BinaryMatrix((rng.random((p, q)) < 0.5).astype(np.int8))
+            R, C = binmat.row_col_sums(A)
+            bits = binmat.from_margins(R, C).writable_bits()
+            while True:
+                first = next(
+                    (
+                        (i + 1, j + 1, k + 1, l + 1)
+                        for i, j in itertools.combinations(range(p), 2)
+                        for k, l in itertools.combinations(range(q), 2)
+                        if (bits[i, k], bits[i, l], bits[j, k], bits[j, l]) == (0, 1, 1, 0)
+                    ),
+                    None,
+                )
+                if first is None:
+                    break
+                binmat.switch_bits_inplace(bits, first, POSITIVE)
+            sink = BinaryMatrix(bits)
+            cls = binmat.classify(sink)
+            if cls.is_split_zebra or cls.is_split_anti_zebra:
+                assert gen_split_zebra(R, C) == sink
+            else:
+                with pytest.raises(InfeasibleMargins):
+                    gen_split_zebra(R, C)
+
     def test_split_zebra_infeasible_margins(self):
         with pytest.raises(InfeasibleMargins):
             gen_split_zebra((2, 2), (1, 1))

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,44 @@ from conftest import (
     RING_T,
     random_binary,
 )
+
+
+_ORTHO = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def flood_fill_holes(component):
+    """Reference hole count: flood the complement from a one-cell border
+    around the bounding box, then count the regions never reached."""
+    rows = [r for r, _ in component]
+    cols = [c for _, c in component]
+    r0, r1 = min(rows) - 1, max(rows) + 1
+    c0, c1 = min(cols) - 1, max(cols) + 1
+
+    def flood(start, blocked):
+        region = {start}
+        queue = deque([start])
+        while queue:
+            r, c = queue.popleft()
+            for dr, dc in _ORTHO:
+                nxt = (r + dr, c + dc)
+                if (
+                    r0 <= nxt[0] <= r1
+                    and c0 <= nxt[1] <= c1
+                    and nxt not in region
+                    and nxt not in blocked
+                ):
+                    region.add(nxt)
+                    queue.append(nxt)
+        return region
+
+    seen = flood((r0, c0), component)
+    holes = 0
+    for r in range(r0, r1 + 1):
+        for c in range(c0, c1 + 1):
+            if (r, c) not in component and (r, c) not in seen:
+                holes += 1
+                seen |= flood((r, c), component | seen)
+    return holes
 
 
 def random_pair_by_switches(rng, p, q, max_steps, density=0.5):
@@ -186,6 +226,18 @@ class TestPolyominoLevels:
         levels = reach._levels_of_values(vals)
         assert len(levels[0].components) == 2
         assert levels[0].holes == (0, 0)
+
+    def test_count_holes_matches_flood_fill(self):
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(300):
+            p, q = (int(x) for x in rng.integers(1, 8, size=2))
+            grid = rng.random((p, q)) < rng.uniform(0.3, 0.9)
+            cells = {(int(r), int(c)) for r, c in np.argwhere(grid)}
+            for comp in reach._components(cells):
+                assert reach.count_holes(comp) == flood_fill_holes(comp)
+                checked += 1
+        assert checked > 300
 
     def test_diagonal_adjacency_never_isolated(self):
         # valid differences never leave two diagonal cells without a shared

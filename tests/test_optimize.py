@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -179,6 +180,21 @@ class TestRun:
         capped = run(g, budget=12, lambda_every=5, seed=6)
         assert capped.stats.lambda_nonconverged == capped.stats.lambda_samples == 4
         assert capped.stats.power_iterations == 12
+
+    @pytest.mark.parametrize(
+        "n, p, seed, digest",
+        [
+            (100, 0.2, 0, "6c9bcc2d7fba76e446c85c1779ca3bf83d98520239eec6f66f7b8f8733104037"),
+            (60, 0.7, 1, "3e767ed5e3c69335252df0ca7e359c3b46fc7605955ff0aca3c73875b081ee19"),
+        ],
+    )
+    def test_golden_trajectory(self, n, p, seed, digest):
+        # one RNG draw per step and an exact table: the CSV and the final
+        # matrix of a seeded run to the sink are pinned byte for byte
+        traj = run(sorted_er(n, p, seed), budget=10**6, lambda_every=25, seed=seed)
+        assert traj.termination == TERMINATION_SINK
+        text = trajectory_csv(traj) + snapshot_render(traj.final)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_reproducible(self):
         g = sorted_er(25, 0.3, seed=29)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -336,7 +337,7 @@ def _cmd_enumerate(args) -> int:
         )
         return EXIT_OK if structure.ok and reach_rep.ok else EXIT_NEGATIVE
     dag = oracle.build_graph_dag(members)
-    spectral = oracle.verify_spectral_max_at_sink(members)
+    spectral = oracle.verify_spectral_max_at_sink(dag)
     _emit(
         _report(
             "enumerate",
@@ -513,6 +514,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use and then reused by every ``main`` call
+    in the process; ``parse_args`` keeps no state between calls."""
+    return _build_parser()
+
+
 _HANDLERS = {
     "gen": _cmd_gen,
     "analyze": _cmd_analyze,
@@ -525,9 +533,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageExit:
         return EXIT_USAGE
     try:

@@ -115,20 +115,13 @@ def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
     return [Switch(*coord) for coord in b[keep].tolist()]
 
 
-def sym_board_pair_counts(
-    adj: np.ndarray, sign: str, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Boards of the given sign per row pair.
+def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
+    """Boards of the given sign per row pair, counted from scratch.
 
-    Without ``rows``: ``counts[i, j]`` = boards (i, j, k, l) with k < l, for
-    every row pair i < j (0 on and below the diagonal).  Every symmetric
-    switch contributes to exactly two row pairs, so ``counts.sum() // 2`` is
-    the number of distinct switches.
-
-    With ``rows`` (0-based indices): ``out[t, b]`` = boards on the row pair
-    {rows[t], b}, that is, row ``rows[t]`` plus column ``rows[t]`` of the
-    full table, with 0 at b == rows[t].  A switch changes only its four
-    rows, so these are the only pairs it can change.
+    ``counts[i, j]`` = boards (i, j, k, l) with k < l, for every row pair
+    i < j (0 on and below the diagonal).  Every symmetric switch
+    contributes to exactly two row pairs, so ``counts.sum() // 2`` is the
+    number of distinct switches.
 
     O(n) per pair.  Rows are taken in blocks of
     ``binmat._BLOCK_CELLS // n**2`` (at least one), about 8 bytes per
@@ -139,11 +132,10 @@ def sym_board_pair_counts(
     n = a.shape[0]
     hi = 1 if sign == POSITIVE else -1
     every = np.arange(n)
-    picked = every if rows is None else np.asarray(rows, dtype=np.intp)
-    out = np.empty((picked.size, n), dtype=np.int64)
+    out = np.empty((n, n), dtype=np.int64)
     step = max(1, binmat._BLOCK_CELLS // (n * n))
-    for start in range(0, picked.size, step):
-        block = picked[start : start + step]
+    for start in range(0, n, step):
+        block = every[start : start + step]
         # d[t, b, k] = a[i, k] - a[j, k] for the pair i < j of {block[t], b},
         # zeroed at k in {i, j}
         d = a[block, None, :] - a
@@ -152,7 +144,7 @@ def sym_board_pair_counts(
         d[:, every, every] = 0
         below = np.cumsum(d == hi, axis=2, dtype=np.int16 if n < 2**15 else np.int32)
         out[start : start + step] = (below * (d == -hi)).sum(axis=2, dtype=np.int64)
-    return np.triu(out, k=1) if rows is None else out
+    return np.triu(out, k=1)
 
 
 def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
@@ -160,6 +152,88 @@ def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
     if adj.shape[0] < 4:
         return 0
     return int(sym_board_pair_counts(adj, sign).sum()) // 2
+
+
+class NegativeBoardTable:
+    """``sym_board_pair_counts(adj, NEGATIVE)``, kept current under switches.
+
+    ``counts`` is counted once from scratch; ``switch(coord)`` applies a
+    positive switch to ``adj`` in place and recounts the row pairs that
+    touch its four rows, the only pairs it can change, with two matrix
+    products instead of n x n prefix sums.
+
+    For rows i < j, with S_i(k) the 1s of row i right of column k, P_j(l)
+    the 1s of row j left of column l, Q = A o P and c the number of common
+    neighbours, the negative boards are
+
+        N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl)
+                = sum_k a_jk (1-a_ik) S_i(k) - sum_l a_il Q_jl + C(c, 2)
+                  - a_ij (S_i(i) - sum_{l>i} a_il a_jl
+                          + P_j(j) - sum_{k<j} a_ik a_jk - 1),
+
+    the last line taking out the boards through column i or j.  A is
+    symmetric and P_r + S_r + a_r = deg_r, so for a switched row r in
+    either place, i or j, every sum is an entry of A times a (12 x n)
+    stack ((1-a_r) o S_r, a_r, and a_r right of column r, for the four
+    rows) or of [Q; tril(A, -1)] times the four rows.  A switch changes A
+    and tril(A, -1) only at eight entries of its 4 x 4 block and Q only in
+    its four rows, so the helpers stay current in O(n) per switch.  They
+    are three float64 n x n arrays (24 n^2 bytes), so the products run in
+    BLAS; every value is an integer below n^3, which float64 holds exactly
+    for n up to 2^17, far beyond any dense matrix that fits in memory.
+    """
+
+    def __init__(self, adj: np.ndarray):
+        self.adj = adj
+        self.counts = sym_board_pair_counts(adj, NEGATIVE)
+        a = adj.astype(np.float64)
+        n = a.shape[0]
+        before = np.cumsum(a, axis=1) - a
+        self._a = a
+        self._degrees = a.sum(axis=1)
+        # Q stacked on tril(A, -1); ``_left[b]`` = P_b(b), 1s left of the diagonal
+        self._q_lower = np.concatenate([a * before, np.tril(a, -1)])
+        self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
+        self._left = before.diagonal().copy()
+        self._cols = np.arange(n)
+        self._stack = np.empty((12, n))
+
+    def switch(self, coord) -> None:
+        """Apply the positive switch ``coord`` to ``adj`` and bring
+        ``counts`` up to date."""
+        sym_switch_inplace(self.adj, coord, POSITIVE)
+        i, j, k, l = (v - 1 for v in coord)
+        for x, y, v in ((i, k, 1), (j, l, 1), (i, l, 0), (j, k, 0)):
+            hi, lo = max(x, y), min(x, y)
+            self._a[x, y] = self._a[y, x] = self._lower[hi, lo] = v
+            self._left[hi] += 2 * v - 1
+        rows = np.array((i, j, k, l))
+        a = self._a[rows]
+        through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
+        self._q[rows] = a * (through - 1)
+        deg_r, left_r = self._degrees[rows, None], self._left[rows, None]
+        deg_b, left_b = self._degrees, self._left
+        # axis 0: switched row r; axis 1: every row b
+        stack = self._stack
+        np.multiply(1 - a, deg_r - through, out=stack[:4])
+        stack[4:8] = a
+        np.multiply(a, self._cols > rows[:, None], out=stack[8:])
+        by_a = stack @ self._a
+        by_q_lower = a @ self._q_lower.T
+        n = deg_b.size
+        # sum_k a_bk (1-a_rk) S_r(k) - sum_l a_rl Q_bl
+        mixed = by_a[:4] - by_q_lower[:, :n]
+        common = by_a[4:8]
+        # common neighbours right of r plus those left of b
+        split = by_a[8:] + by_q_lower[:, n:]
+        pairs = common * (common - 1) * 0.5
+        # b > r: the pair is (r, b); b < r: the pair is (b, r)
+        r_first = mixed + pairs - a * (deg_r - left_r - 1 + left_b - split)
+        r_second = pairs - mixed + deg_r * deg_b - common * (deg_b + deg_r - 1)
+        r_second -= a * (left_r - 1 + deg_b - left_b - 2 * common + split)
+        for r, first, second in zip(rows.tolist(), r_first, r_second):
+            self.counts[r, r + 1 :] = first[r + 1 :]
+            self.counts[:r, r] = second[:r]
 
 
 def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:

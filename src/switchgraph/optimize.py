@@ -8,11 +8,22 @@ or when the step budget is exhausted.  M2 never decreases along a run and
 the degree sequence is untouched, so the trajectory is a monotone walk of
 the switch order.
 
-A run keeps the table of negative boards per row pair
-(``graph.sym_board_pair_counts``) current: it is counted once, and after
-each switch only the row pairs touching the four switched rows are
-recounted, O(n^2) per step.  Every step is an exact uniform pick from
-that table, and an empty table is the sink.
+A run keeps the table of negative boards per row pair current in a
+``graph.NegativeBoardTable``: it is counted once from scratch
+(``graph.sym_board_pair_counts``), and after each switch only the row
+pairs touching the four switched rows are recounted.  That recount reads
+the identity, for rows i < j,
+
+    N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl),
+
+expanded into sums that two matrix products give for all rows at once:
+A times a (12 x n) stack built from the four rows, and [Q; tril(A, -1)]
+times the four rows, with Q = A o P and P_j(l) the 1s of row j left of
+column l.  The helpers A, Q and tril(A, -1) change only in the switched
+rows, so they stay current in O(n) per step; they are float64 (24 n^2
+bytes) and every value is an integer below n^3, which float64 holds
+exactly.  Every step is an exact uniform pick from that table, and an
+empty table is the sink, confirmed by one more full count.
 
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
 fixed seed replays the trajectory byte for byte.
@@ -25,15 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
+from .binmat import NEGATIVE, BinaryMatrix, Switch
 from .errors import InternalInvariantViolation
 from .graph import (
     Graph,
+    NegativeBoardTable,
     count_sym_checkerboards,
     m2_switch_delta,
     spectral_radius,
     sym_board_pair_counts,
-    sym_switch_inplace,
     zagreb,
 )
 
@@ -139,15 +150,6 @@ def sample_negative_checkerboard(
     return Switch(i + 1, j + 1, k + 1, l + 1)
 
 
-def _refresh(counts: np.ndarray, adj: np.ndarray, coord: Switch) -> None:
-    """Recount, after a switch at ``coord``, the row pairs of ``counts`` that
-    touch its rows; no other pair changes."""
-    rows = np.array(coord) - 1
-    for r, fresh in zip(rows, sym_board_pair_counts(adj, NEGATIVE, rows)):
-        counts[r, r + 1 :] = fresh[r + 1 :]
-        counts[:r, r] = fresh[:r]
-
-
 def run(
     G0: Graph,
     budget: int,
@@ -172,11 +174,11 @@ def run(
     m2 = m2_initial
     stats = RunStats()
     lam0 = stats.lambda1(G0, tol)
-    counts = sym_board_pair_counts(adj, NEGATIVE)
+    table = NegativeBoardTable(adj)
     steps: list[TrajectoryStep] = []
     termination = TERMINATION_BUDGET
     for step in range(1, budget + 1):
-        coord = sample_negative_checkerboard(adj, rng, counts)
+        coord = sample_negative_checkerboard(adj, rng, table.counts)
         if coord is None:
             if count_sym_checkerboards(adj, NEGATIVE):
                 raise InternalInvariantViolation(
@@ -184,8 +186,7 @@ def run(
                 )
             termination = TERMINATION_SINK
             break
-        sym_switch_inplace(adj, coord, POSITIVE)
-        _refresh(counts, adj, coord)
+        table.switch(coord)
         m2 += m2_switch_delta(degrees, coord)
         z2 = math.sqrt(m2 / m)
         lam = None

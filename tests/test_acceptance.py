@@ -271,7 +271,7 @@ def test_criterion_07_spectral_max_at_sink():
             sequences += 1
             graphs = oracle.enumerate_degree_class(list(D))
             graphs_total += len(graphs)
-            rep = oracle.verify_spectral_max_at_sink(graphs, tol=1e-9)
+            rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs), tol=1e-9)
             if not rep.ok:
                 failures.append((D, rep.failures[:2]))
     elapsed = time.perf_counter() - t0

@@ -344,3 +344,22 @@ class TestRoundTrip:
         mat = binmat.read_matrix(out)
         binmat.write_matrix(mat, out)
         assert out.read_bytes() == first
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        a = write(tmp_path, "a.mat", PAIR_3X3_A)
+        b = write(tmp_path, "b.mat", PAIR_3X3_B)
+        calls = [
+            ("reach", a),
+            ("reach", a, b),
+            ("enumerate", "--degrees", "2,2,1,1"),
+            ("enumerate", "--degrees", "2,2,2,2", "--max-states", "2"),
+            ("enumerate", "--degrees", "2,2,1,1", "--max-states", "x"),
+        ]
+        assert cli._parser() is cli._parser()
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", cli._build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [64, 0, 0, 2, 64]

@@ -22,6 +22,7 @@ from switchgraph.graph import (
     spectral_radius,
     zagreb,
 )
+from switchgraph.optimize import sample_negative_checkerboard
 
 
 def complete_graph(n):
@@ -161,15 +162,77 @@ class TestSymCheckerboards:
         assert vec_count == loop_count
 
     def test_row_counts_match_full_table(self):
+        # the kept-current table against the from-scratch count, on random
+        # (unsorted) graphs, after each of a few positive switches
         rng = np.random.default_rng(23)
         for _ in range(30):
             n = int(rng.integers(1, 41))
-            adj = random_graph(rng, n, float(rng.uniform(0.1, 0.9))).adj
-            rows = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
-            for sign in (POSITIVE, NEGATIVE):
-                full = graph.sym_board_pair_counts(adj, sign)
-                part = graph.sym_board_pair_counts(adj, sign, rows)
-                assert np.array_equal(part, full[rows] + full[:, rows].T)
+            adj = random_graph(rng, n, float(rng.uniform(0.1, 0.9))).writable_adj()
+            table = graph.NegativeBoardTable(adj)
+            for _ in range(int(rng.integers(1, 7))):
+                assert np.array_equal(table.counts, graph.sym_board_pair_counts(adj, NEGATIVE))
+                coord = sample_negative_checkerboard(adj, rng, table.counts)
+                if coord is None:
+                    break
+                table.switch(coord)
+            assert np.array_equal(table.counts, graph.sym_board_pair_counts(adj, NEGATIVE))
+
+
+def walk_table(adj, rng, steps):
+    """``steps`` positive switches through a NegativeBoardTable, preferring
+    boards whose rows i and j are adjacent; the table must equal the
+    from-scratch count before and after every switch.  Returns the number
+    of switches made and how many had i and j adjacent."""
+    table = graph.NegativeBoardTable(adj)
+    made = adjacent = 0
+    for _ in range(steps):
+        assert np.array_equal(table.counts, graph.sym_board_pair_counts(adj, NEGATIVE))
+        boards = find_sym_checkerboards(Graph(adj), NEGATIVE)
+        if not boards:
+            break
+        linked = [sw for sw in boards if adj[sw.i - 1, sw.j - 1]]
+        pool = linked or boards
+        table.switch(pool[int(rng.integers(len(pool)))])
+        made += 1
+        adjacent += bool(linked)
+    assert np.array_equal(table.counts, graph.sym_board_pair_counts(adj, NEGATIVE))
+    return made, adjacent
+
+
+class TestNegativeBoardTable:
+    @pytest.mark.parametrize("lo, hi", [(0.05, 0.25), (0.35, 0.65), (0.75, 0.95)])
+    def test_matches_full_count_along_walks(self, lo, hi):
+        rng = np.random.default_rng(int(lo * 100))
+        made = adjacent = 0
+        for _ in range(8):
+            n = int(rng.integers(4, 41))
+            g, _ = sort_by_degree(random_graph(rng, n, float(rng.uniform(lo, hi))))
+            steps = walk_table(g.writable_adj(), rng, 30)
+            made, adjacent = made + steps[0], adjacent + steps[1]
+        assert made > 0 and adjacent > 0
+
+    def test_walks_to_the_sink(self):
+        rng = np.random.default_rng(5)
+        for n in (4, 5, 6, 9, 12):
+            g, _ = sort_by_degree(random_graph(rng, n, 0.5))
+            adj = g.writable_adj()
+            walk_table(adj, rng, 10**6)
+            assert count_sym_checkerboards(adj, NEGATIVE) == 0
+
+    @pytest.mark.parametrize(
+        "g", [Graph(np.zeros((6, 6), dtype=int)), complete_graph(6), star_graph(5)]
+    )
+    def test_boardless_graphs(self, g):
+        adj = g.writable_adj()
+        table = graph.NegativeBoardTable(adj)
+        assert not table.counts.any()
+        assert walk_table(adj, np.random.default_rng(0), 5) == (0, 0)
+
+    def test_switch_rejects_non_board(self):
+        adj = path_graph(4).writable_adj()
+        table = graph.NegativeBoardTable(adj)
+        with pytest.raises(InvalidSwitch):
+            table.switch(Switch(1, 2, 3, 4))
 
 
 class TestApplySymSwitch:

@@ -247,19 +247,19 @@ class TestDegreeClasses:
 class TestSpectralMaxAtSink:
     def test_regular_class_trivial(self):
         graphs = oracle.enumerate_degree_class([2, 2, 2, 2])
-        rep = oracle.verify_spectral_max_at_sink(graphs)
+        rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs))
         assert rep.ok
         assert rep.max_lambda == pytest.approx(2.0, abs=1e-9)
 
     def test_mixed_class(self):
         graphs = oracle.enumerate_degree_class([3, 2, 2, 2, 1])
-        rep = oracle.verify_spectral_max_at_sink(graphs)
+        rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs))
         assert rep.ok, rep.failures
         assert rep.sink_count >= 1
 
     def test_max_matches_brute_scan(self):
         graphs = oracle.enumerate_degree_class([3, 3, 2, 2, 2])
-        rep = oracle.verify_spectral_max_at_sink(graphs)
+        rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs))
         assert rep.max_lambda == pytest.approx(
             max(dense_spectral_radius(g.adj) for g in graphs), abs=1e-12
         )

@@ -190,7 +190,8 @@ class TestRun:
     )
     def test_golden_trajectory(self, n, p, seed, digest):
         # one RNG draw per step and an exact table: the CSV and the final
-        # matrix of a seeded run to the sink are pinned byte for byte
+        # matrix of a seeded run to the sink are pinned byte for byte (the
+        # lambda1 column is float power iteration, so on one numpy build)
         traj = run(sorted_er(n, p, seed), budget=10**6, lambda_every=25, seed=seed)
         assert traj.termination == TERMINATION_SINK
         text = trajectory_csv(traj) + snapshot_render(traj.final)

@@ -14,7 +14,7 @@ All coordinates in the public API are 1-based: a switch coordinate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,89 +479,6 @@ def classify(A: BinaryMatrix) -> MatrixClass:
         complement_of_split=csh or csv or cash or casv,
         degenerate_split=degen_z or degen_a,
     )
-
-
-# ---------------------------------------------------------------------------
-# Forbidden-pattern scans (zebra geometry checks, used by the test suite)
-# ---------------------------------------------------------------------------
-
-
-def strip_full_lines(bits: np.ndarray) -> np.ndarray:
-    """Drop all-ones rows and columns until none remain."""
-    out = bits
-    while out.size:
-        full_rows = out.all(axis=1)
-        full_cols = out.all(axis=0)
-        if not full_rows.any() and not full_cols.any():
-            break
-        out = out[~full_rows][:, ~full_cols]
-    return out
-
-
-def strip_empty_lines(bits: np.ndarray) -> np.ndarray:
-    """Drop all-zero rows and columns until none remain."""
-    out = bits
-    while out.size:
-        empty_rows = ~out.any(axis=1)
-        empty_cols = ~out.any(axis=0)
-        if not empty_rows.any() and not empty_cols.any():
-            break
-        out = out[~empty_rows][:, ~empty_cols]
-    return out
-
-
-def _pairs(n: int) -> Iterator[tuple[int, int]]:
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            yield a, b
-
-
-def has_zebra_forbidden_pattern(A: BinaryMatrix) -> bool:
-    """Scan for [[0,1],[*,0]] or [[0,*],[1,0]] after removing full lines.
-
-    Zebras never contain these submatrices (one direction of the geometric
-    characterisation; the converse is not assumed anywhere).
-    """
-    b = strip_full_lines(A.bits)
-    p, q = b.shape
-    for i, j in _pairs(p):
-        for k, l in _pairs(q):
-            if b[i, k] == 0 and b[i, l] == 1 and b[j, l] == 0:
-                return True
-            if b[i, k] == 0 and b[j, k] == 1 and b[j, l] == 0:
-                return True
-    return False
-
-
-def has_anti_zebra_forbidden_pattern(A: BinaryMatrix) -> bool:
-    """Scan for [[*,1],[1,0]] or [[0,1],[1,*]] after removing empty lines."""
-    b = strip_empty_lines(A.bits)
-    p, q = b.shape
-    for i, j in _pairs(p):
-        for k, l in _pairs(q):
-            if b[i, l] == 1 and b[j, k] == 1 and b[j, l] == 0:
-                return True
-            if b[i, k] == 0 and b[i, l] == 1 and b[j, k] == 1:
-                return True
-    return False
-
-
-def row_has_pattern(bits: np.ndarray, pattern: Sequence[int]) -> bool:
-    """True if some row contains ``pattern`` as a (scattered) subsequence."""
-    for row in bits:
-        idx = 0
-        for value in row:
-            if value == pattern[idx]:
-                idx += 1
-                if idx == len(pattern):
-                    break
-        if idx == len(pattern):
-            return True
-    return False
-
-
-def col_has_pattern(bits: np.ndarray, pattern: Sequence[int]) -> bool:
-    return row_has_pattern(bits.T, pattern)
 
 
 # ---------------------------------------------------------------------------

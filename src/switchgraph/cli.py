@@ -152,17 +152,22 @@ def _cmd_analyze(args) -> int:
         return EXIT_UNKNOWN
     sorted_g, perm = graph.sort_by_degree(g)
     rep = graph.spectral_radius(sorted_g, tol=args.tol, max_iter=args.max_iter)
+    if g.m:
+        m1, m2, z1, z2 = graph.zagreb(sorted_g)
+        r = graph.assortativity(sorted_g)
+    else:
+        m1, m2, z1, z2, r = 0, 0, 0.0, None, None
     body.update(
         n=g.n,
         m=g.m,
         degrees=[int(d) for d in g.degrees],
         degree_order=list(perm),
         lambda1=rep.lambda1,
-        M1=rep.M1,
-        M2=rep.M2,
-        Z1=rep.Z1,
-        Z2=rep.Z2,
-        r=rep.r,
+        M1=m1,
+        M2=m2,
+        Z1=z1,
+        Z2=z2,
+        r=r,
         converged=rep.converged,
         checkerboards={
             "positive": graph.count_sym_checkerboards(sorted_g.adj, POSITIVE),
@@ -447,6 +452,7 @@ def _ranged(kind, low, high=float("inf")):
 
 
 _COUNT = _ranged(int, 1)
+_NATURAL = _ranged(int, 0)
 _FRACTION = _ranged(float, 0.0, 1.0)
 
 
@@ -472,8 +478,8 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="JSON report for one matrix")
     analyze.add_argument("matrix")
-    analyze.add_argument("--tol", type=float, default=1e-10)
-    analyze.add_argument("--max-iter", type=int, default=100000)
+    analyze.add_argument("--tol", type=_ranged(float, 0.0), default=1e-10)
+    analyze.add_argument("--max-iter", type=_COUNT, default=100000)
 
     for name in ("reach", "path"):
         cmd = sub.add_parser(
@@ -482,7 +488,7 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument("a")
         cmd.add_argument("b")
-        cmd.add_argument("--bfs-cap", type=int, default=reach.DEFAULT_BFS_CAP,
+        cmd.add_argument("--bfs-cap", type=_NATURAL, default=reach.DEFAULT_BFS_CAP,
                          help="most states the reachability search expands before Unknown")
 
     opt = sub.add_parser("optimize", help="random positive-switch run")
@@ -492,8 +498,8 @@ def _build_parser() -> _Parser:
     opt.add_argument("--p", type=_FRACTION, default=0.2)
     opt.add_argument("--side", type=_COUNT, default=10)
     opt.add_argument("--rewire", type=_FRACTION, default=0.1)
-    opt.add_argument("--budget", type=int, default=100000)
-    opt.add_argument("--lambda-every", type=int, default=25)
+    opt.add_argument("--budget", type=_NATURAL, default=100000)
+    opt.add_argument("--lambda-every", type=_NATURAL, default=25)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--out-csv")
     opt.add_argument("--out-initial")

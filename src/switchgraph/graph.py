@@ -7,9 +7,10 @@ negative is meaningful only relative to a vertex ordering, so the graph
 operations expect vertices sorted by non-increasing degree.
 
 Also here: Zagreb indices and the spectral-radius estimate Z2, degree
-assortativity, spectral radius by power iteration with an independent
-Jacobi eigensolver as cross-check, and the graph generators used by the
-switching simulations.  Vertices are 1-based in the public API.
+assortativity, the spectral radius and its eigenvector by power
+iteration, all eigenvalues (no eigenvectors) by an independent Jacobi
+solver as cross-check, and the graph generators used by the switching
+simulations.  Vertices are 1-based in the public API.
 """
 
 from __future__ import annotations
@@ -320,18 +321,13 @@ def assortativity(G: Graph) -> float | None:
 
 @dataclass(eq=False)
 class SpectralReport:
-    """Largest adjacency eigenvalue plus the degree-based indices."""
+    """Largest adjacency eigenvalue, its unit eigenvector, and whether and
+    after how many steps the power iteration converged."""
 
     lambda1: float
     eigvec: np.ndarray
-    M1: int
-    M2: int
-    Z1: float
-    Z2: float | None
-    r: float | None
     converged: bool
     iterations: int
-    full_support: bool
 
 
 def spectral_radius(G: Graph, tol: float = 1e-10, max_iter: int = 100000) -> SpectralReport:
@@ -358,34 +354,19 @@ def spectral_radius(G: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
             converged = True
             break
         ray_prev = ray
-    if G.m:
-        m1, m2, z1, z2 = zagreb(G)
-        r = assortativity(G)
-    else:
-        m1, m2, z1, z2, r = 0, 0, 0.0, None, None
     return SpectralReport(
-        lambda1=ray - 1.0,
-        eigvec=v,
-        M1=m1,
-        M2=m2,
-        Z1=z1,
-        Z2=z2,
-        r=r,
-        converged=converged,
-        iterations=iterations,
-        full_support=bool((v > 1e-12).all()),
+        lambda1=ray - 1.0, eigvec=v, converged=converged, iterations=iterations
     )
 
 
 def jacobi_eigenvalues(
     matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues/eigenvectors of a symmetric matrix by Jacobi rotations.
+) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix by Jacobi rotations.
 
     Deliberately independent of the power iteration (and of library
     eigensolvers) so the two spectral routes cross-check each other.
-    Returns eigenvalues in non-increasing order and eigenvectors as the
-    matching columns.
+    Returns the eigenvalues in non-increasing order.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -393,7 +374,6 @@ def jacobi_eigenvalues(
     if (np.abs(a - a.T) > 1e-12).any():
         raise ValueError("jacobi_eigenvalues expects a symmetric matrix")
     n = a.shape[0]
-    vecs = np.eye(n)
     scale = max(1.0, float(np.abs(a).max()))
     for _ in range(max_sweeps):
         off_part = a - np.diag(np.diagonal(a))
@@ -414,18 +394,13 @@ def jacobi_eigenvalues(
                 rot_p = c * a[p, :] - s * a[q, :]
                 rot_q = s * a[p, :] + c * a[q, :]
                 a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    vals = np.diagonal(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+    vals = np.diagonal(a)
+    return vals[np.argsort(-vals, kind="stable")]
 
 
 def dense_spectral_radius(adj: np.ndarray) -> float:
     """Largest eigenvalue via the independent Jacobi solver."""
-    vals, _ = jacobi_eigenvalues(np.asarray(adj, dtype=np.float64))
-    return float(vals[0])
+    return float(jacobi_eigenvalues(np.asarray(adj, dtype=np.float64))[0])
 
 
 # ---------------------------------------------------------------------------

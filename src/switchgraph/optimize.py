@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binmat import NEGATIVE, BinaryMatrix, Switch
+from .binmat import NEGATIVE, Switch
 from .errors import InternalInvariantViolation
 from .graph import (
     Graph,
@@ -72,8 +72,8 @@ class RunStats:
     power_iterations: int = 0
     lambda_nonconverged: int = 0
 
-    def lambda1(self, G: Graph, tol: float) -> float:
-        rep = spectral_radius(G, tol=tol)
+    def lambda1(self, G: Graph) -> float:
+        rep = spectral_radius(G)
         self.lambda_samples += 1
         self.power_iterations += rep.iterations
         self.lambda_nonconverged += not rep.converged
@@ -155,7 +155,6 @@ def run(
     budget: int,
     lambda_every: int = 25,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> Trajectory:
     """Drive ``G0`` through random positive switches.
 
@@ -173,7 +172,7 @@ def run(
     _, m2_initial, _, z2_initial = zagreb(G0) if m else (0, 0, 0.0, None)
     m2 = m2_initial
     stats = RunStats()
-    lam0 = stats.lambda1(G0, tol)
+    lam0 = stats.lambda1(G0)
     table = NegativeBoardTable(adj)
     steps: list[TrajectoryStep] = []
     termination = TERMINATION_BUDGET
@@ -191,10 +190,10 @@ def run(
         z2 = math.sqrt(m2 / m)
         lam = None
         if lambda_every and step % lambda_every == 0:
-            lam = stats.lambda1(Graph._wrap(adj.copy()), tol)
+            lam = stats.lambda1(Graph._wrap(adj.copy()))
         steps.append(TrajectoryStep(step, coord, m2, z2, lam))
     final = Graph._wrap(adj)
-    lam_final = stats.lambda1(final, tol)
+    lam_final = stats.lambda1(final)
     return Trajectory(
         seed=seed,
         budget=budget,
@@ -209,15 +208,6 @@ def run(
         lambda1_final=lam_final,
         stats=stats,
     )
-
-
-def snapshot_render(obj) -> str:
-    """Matrix text block for a graph or matrix, for diffing run endpoints."""
-    if isinstance(obj, Graph):
-        return obj.to_binary_matrix().to_text()
-    if isinstance(obj, BinaryMatrix):
-        return obj.to_text()
-    return BinaryMatrix(obj).to_text()
 
 
 def _fmt(value) -> str:

@@ -84,6 +84,13 @@ class TestAnalyze:
         assert payload["r"] is None  # regular graph
         assert payload["checkerboards"] == {"positive": 0, "negative": 0}
 
+    def test_edgeless_graph_indices(self, tmp_path, capsys):
+        path = write(tmp_path, "e3.mat", [[0, 0, 0]] * 3)
+        code, payload, _ = run_json(capsys, "analyze", path)
+        assert code == 0
+        assert (payload["M1"], payload["M2"], payload["Z1"]) == (0, 0, 0.0)
+        assert payload["Z2"] is None and payload["r"] is None
+
     def test_non_adjacency_is_degenerate(self, tmp_path, capsys):
         path = write(tmp_path, "id.mat", [[1, 0], [0, 1]])
         code, payload, _ = run_json(capsys, "analyze", path)
@@ -323,6 +330,12 @@ class TestUsage:
             ("optimize", "--gen", "grid", "--rewire", "2"),
             ("optimize", "--gen", "grid", "--side", "-1"),
             ("scan-conjecture", "--max-dim", "1"),
+            ("optimize", "--gen", "er", "--lambda-every", "-3"),
+            ("optimize", "--gen", "er", "--budget", "-5"),
+            ("analyze", "m.mat", "--max-iter", "-1"),
+            ("analyze", "m.mat", "--tol", "nan"),
+            ("reach", "a.mat", "b.mat", "--bfs-cap", "-1"),
+            ("path", "a.mat", "b.mat", "--bfs-cap", "-1"),
         ],
     )
     def test_out_of_range_number_is_usage_error(self, tmp_path, capsys, argv):

@@ -22,7 +22,6 @@ from switchgraph.optimize import (
     TERMINATION_SINK,
     run,
     sample_negative_checkerboard,
-    snapshot_render,
     structure_mismatch,
     trajectory_csv,
     write_trajectory_csv,
@@ -175,7 +174,7 @@ class TestRun:
         assert traj.stats.power_iterations > traj.stats.lambda_samples
         assert traj.stats.lambda_nonconverged == 0
         monkeypatch.setattr(
-            optimize, "spectral_radius", lambda G, tol: spectral_radius(G, tol, max_iter=3)
+            optimize, "spectral_radius", lambda G: spectral_radius(G, max_iter=3)
         )
         capped = run(g, budget=12, lambda_every=5, seed=6)
         assert capped.stats.lambda_nonconverged == capped.stats.lambda_samples == 4
@@ -194,7 +193,7 @@ class TestRun:
         # lambda1 column is float power iteration, so on one numpy build)
         traj = run(sorted_er(n, p, seed), budget=10**6, lambda_every=25, seed=seed)
         assert traj.termination == TERMINATION_SINK
-        text = trajectory_csv(traj) + snapshot_render(traj.final)
+        text = trajectory_csv(traj) + traj.final.to_binary_matrix().to_text()
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_reproducible(self):
@@ -225,15 +224,6 @@ class TestCsv:
         write_trajectory_csv(run(g, budget=20, seed=10), a)
         write_trajectory_csv(run(g, budget=20, seed=10), b)
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestSnapshotRender:
-    def test_matrix(self):
-        assert snapshot_render(BinaryMatrix([[1, 0], [0, 1]])) == "2 2\n10\n01\n"
-
-    def test_graph(self):
-        g = complete_graph(3)
-        assert snapshot_render(g) == "3 3\n011\n101\n110\n"
 
 
 class TestStructureMismatch:

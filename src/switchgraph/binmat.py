@@ -60,7 +60,9 @@ class BinaryMatrix:
         arr = np.array(bits, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"expected a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        # as uint8 a negative entry reads 128 or more, so one compare checks
+        # 0/1; np.isin is several times slower, and every from_text runs this
+        if (arr.view(np.uint8) > 1).any():
             raise ValueError("matrix entries must be 0 or 1")
         self._finish(arr)
 
@@ -138,7 +140,7 @@ class BinaryMatrix:
             if len(line) != q or set(line) - {"0", "1"}:
                 raise MatrixFormatError(f"bad row {r + 1}: {line!r}")
             arr[r] = [int(ch) for ch in line]
-        return cls._wrap(arr)
+        return cls(arr)
 
 
 def read_matrix(path) -> BinaryMatrix:

@@ -105,8 +105,7 @@ def _load_margins(path: str) -> tuple[list[int], list[int]]:
 def _cmd_gen(args) -> int:
     if args.kind == "er":
         config = {"kind": "er", "n": args.n, "p": args.p, "seed": args.seed, "out": args.out}
-        g = graph.gen_erdos_renyi(args.n, args.p, args.seed)
-        mat = g.to_binary_matrix()
+        mat = graph.gen_erdos_renyi(args.n, args.p, args.seed)
     elif args.kind == "grid":
         config = {
             "kind": "grid",
@@ -115,8 +114,7 @@ def _cmd_gen(args) -> int:
             "seed": args.seed,
             "out": args.out,
         }
-        g = graph.gen_small_world(args.side, args.rewire, args.seed)
-        mat = g.to_binary_matrix()
+        mat = graph.gen_small_world(args.side, args.rewire, args.seed)
     else:
         config = {"kind": "zebra", "margins": args.margins, "out": args.out}
         R, C = _load_margins(args.margins)
@@ -257,9 +255,9 @@ def _cmd_optimize(args) -> int:
     if args.out_csv:
         optimize.write_trajectory_csv(traj, args.out_csv)
     if args.out_initial:
-        binmat.write_matrix(traj.initial.to_binary_matrix(), args.out_initial)
+        binmat.write_matrix(traj.initial, args.out_initial)
     if args.out_final:
-        binmat.write_matrix(traj.final.to_binary_matrix(), args.out_final)
+        binmat.write_matrix(traj.final, args.out_final)
     rel = (
         (traj.lambda1_final - traj.lambda1_initial) / traj.lambda1_initial
         if traj.lambda1_initial
@@ -289,8 +287,6 @@ def _cmd_optimize(args) -> int:
 def _cmd_enumerate(args) -> int:
     if (args.margins is None) == (args.degrees is None):
         raise _InputError("exactly one of --margins or --degrees is required", EXIT_DATA)
-    if args.max_states < 0:
-        raise _InputError("--max-states must be non-negative", EXIT_USAGE)
     if args.margins:
         config = {"margins": args.margins, "max_states": args.max_states}
         R, C = _load_margins(args.margins)
@@ -508,12 +504,12 @@ def _build_parser() -> _Parser:
     enum = sub.add_parser("enumerate", help="exhaustive class checks")
     enum.add_argument("--margins")
     enum.add_argument("--degrees")
-    enum.add_argument("--max-states", type=int, default=1000000)
+    enum.add_argument("--max-states", type=_NATURAL, default=1000000)
 
     scan = sub.add_parser("scan-conjecture", help="randomised conjecture scan")
-    scan.add_argument("--trials", type=int, default=100)
+    scan.add_argument("--trials", type=_NATURAL, default=100)
     scan.add_argument("--max-dim", type=_ranged(int, 2), default=4)
-    scan.add_argument("--max-entry", type=int, default=3)
+    scan.add_argument("--max-entry", type=_NATURAL, default=3)
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--out")
 

@@ -1,5 +1,8 @@
 """Simple graphs as symmetric adjacency matrices, and their switch algebra.
 
+A :class:`Graph` is a :class:`~switchgraph.binmat.BinaryMatrix` that is
+symmetric with a zero diagonal, so its row sums are the degrees and its
+margins are (D, D); everything that reads a matrix reads a graph too.
 For graphs the four switch coordinates must be pairwise distinct vertices
 and checkerboards come in symmetric pairs that are switched together; a
 switch rewires two edges without touching any degree.  Positive versus
@@ -25,16 +28,17 @@ from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
 from .errors import DegenerateGraph, InfeasibleMargins, InvalidSwitch
 
 
-class Graph:
-    """Simple undirected graph stored as a dense 0/1 adjacency matrix."""
+class Graph(BinaryMatrix):
+    """Simple undirected graph: a symmetric :class:`BinaryMatrix` with a
+    zero diagonal, whose row sums are the degrees."""
 
-    __slots__ = ("adj", "degrees")
+    __slots__ = ()
 
     def __init__(self, adj):
         arr = np.array(adj, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"adjacency must be square and non-empty, got {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if (arr.view(np.uint8) > 1).any():
             raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(arr).any():
             raise ValueError("adjacency diagonal must be zero (no loops)")
@@ -42,45 +46,24 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         self._finish(arr)
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Graph":
-        obj = object.__new__(cls)
-        obj._finish(arr)
-        return obj
+    @property
+    def adj(self) -> np.ndarray:
+        return self.bits
 
-    def _finish(self, arr: np.ndarray) -> None:
-        arr.setflags(write=False)
-        self.adj = arr
-        self.degrees = arr.sum(axis=1, dtype=np.int64)
-        self.degrees.setflags(write=False)
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.row_sums
 
     @property
     def n(self) -> int:
-        return self.adj.shape[0]
+        return self.bits.shape[0]
 
     @property
     def m(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return int(self.row_sums.sum()) // 2
 
     def is_degree_sorted(self) -> bool:
-        return bool((np.diff(self.degrees) <= 0).all())
-
-    def writable_adj(self) -> np.ndarray:
-        return self.adj.copy()
-
-    def to_binary_matrix(self) -> BinaryMatrix:
-        return BinaryMatrix(self.adj)
-
-    def key(self) -> bytes:
-        return self.adj.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and bool((self.adj == other.adj).all())
-
-    def __hash__(self):
-        return hash((self.n, self.adj.tobytes()))
+        return bool((np.diff(self.row_sums) <= 0).all())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -239,7 +222,7 @@ class NegativeBoardTable:
 
 def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:
     """Apply a symmetric switch, preserving degrees and simplicity."""
-    adj = G.writable_adj()
+    adj = G.writable_bits()
     sym_switch_inplace(adj, coord, direction)
     return Graph._wrap(adj)
 

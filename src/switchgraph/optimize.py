@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binmat import NEGATIVE, Switch
+from .binmat import NEGATIVE, BinaryMatrix, Switch
 from .errors import InternalInvariantViolation
 from .graph import (
     Graph,
@@ -166,7 +166,7 @@ def run(
     if not G0.is_degree_sorted():
         raise ValueError("run() expects a degree-sorted graph")
     rng = np.random.default_rng(seed)
-    adj = G0.writable_adj()
+    adj = G0.writable_bits()
     degrees = G0.degrees.copy()
     m = G0.m
     _, m2_initial, _, z2_initial = zagreb(G0) if m else (0, 0, 0.0, None)
@@ -242,7 +242,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def structure_mismatch(obj) -> dict[str, float]:
+def structure_mismatch(A: BinaryMatrix) -> dict[str, float]:
     """Distance of a matrix from the ideal zebra and anti-zebra shapes.
 
     Per row with sum s: the zebra family places its 1s as a left prefix
@@ -251,11 +251,10 @@ def structure_mismatch(obj) -> dict[str, float]:
     the fraction of entries that disagree with the best fit, so lower
     means closer.  Thresholds are a reporting matter, not a pass/fail one.
     """
-    bits = obj.adj if isinstance(obj, Graph) else obj.bits
-    p, q = bits.shape
+    p, q = A.bits.shape
     zebra_miss = 0
     band_miss = 0
-    for row in bits:
+    for row in A.bits:
         s = int(row.sum())
         if s == 0 or s == q:
             continue

@@ -120,11 +120,13 @@ def margin_space(max_p: int, max_q: int, max_entry: int) -> Iterator[tuple[tuple
 
 @dataclass
 class MatrixClassDAG:
-    """Explicit switch order on one margin class.
+    """Explicit switch order on one whole class: a margin class from
+    ``build_dag``, or a degree class of ``Graph`` members (each a
+    symmetric ``BinaryMatrix``) from ``build_graph_dag``.
 
-    ``arcs[v]`` lists (destination index, switch coordinate) for every
-    positive switch leaving matrix ``v``.  Sinks have no arc out, sources
-    no arc in.
+    ``index`` maps a member's ``key()`` to its position, and ``arcs[v]``
+    lists (destination index, switch coordinate) for every positive switch
+    leaving member ``v``.  Sinks have no arc out, sources no arc in.
     """
 
     matrices: list[BinaryMatrix]
@@ -149,26 +151,26 @@ def _unentered(n: int, arcs: list[list[tuple[int, Switch]]]) -> list[int]:
     return [v for v in range(n) if not entered[v]]
 
 
+def _class_dag(members: list, boards, switched) -> MatrixClassDAG:
+    """Arcs over a whole class: ``boards(member)`` lists the negative
+    boards of a member, and ``switched(member, sw)`` is the ``key()`` of
+    the member with ``sw`` switched to positive."""
+    index = {m.key(): pos for pos, m in enumerate(members)}
+    arcs = [[(index[switched(m, sw)], sw) for sw in boards(m)] for m in members]
+    sinks = [v for v, out in enumerate(arcs) if not out]
+    return MatrixClassDAG(members, index, arcs, _unentered(len(members), arcs), sinks)
+
+
 def build_dag(matrices: Sequence[BinaryMatrix]) -> MatrixClassDAG:
     """Arcs from exhaustive checkerboard enumeration over a whole class."""
     mats = list(matrices)
-    if not mats:
-        return MatrixClassDAG([], {}, [])
-    margins = binmat.row_col_sums(mats[0])
-    index = {}
-    for pos, mat in enumerate(mats):
-        if binmat.row_col_sums(mat) != margins:
-            raise MarginSumMismatch("matrices do not share margins")
-        index[mat.key()] = pos
-    arcs: list[list[tuple[int, Switch]]] = []
-    for mat in mats:
-        out = []
-        for cb in binmat.find_checkerboards(mat, NEGATIVE):
-            dest = binmat.apply_switch(mat, cb.coord, POSITIVE)
-            out.append((index[dest.key()], cb.coord))
-        arcs.append(out)
-    sinks = [v for v, out in enumerate(arcs) if not out]
-    return MatrixClassDAG(mats, index, arcs, _unentered(len(mats), arcs), sinks)
+    if len({binmat.row_col_sums(mat) for mat in mats}) > 1:
+        raise MarginSumMismatch("matrices do not share margins")
+    return _class_dag(
+        mats,
+        lambda mat: [cb.coord for cb in binmat.find_checkerboards(mat, NEGATIVE)],
+        lambda mat, sw: binmat.apply_switch(mat, sw, POSITIVE).key(),
+    )
 
 
 def topological_order(dag: MatrixClassDAG) -> list[int] | None:
@@ -513,33 +515,16 @@ def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
     return list(iter_degree_class(D))
 
 
-@dataclass
-class GraphClassDAG:
-    graphs: list[Graph]
-    index: dict[bytes, int]
-    arcs: list[list[tuple[int, Switch]]]
-    sources: list[int] = field(default_factory=list)
-    sinks: list[int] = field(default_factory=list)
+def build_graph_dag(graphs: Sequence[Graph]) -> MatrixClassDAG:
+    """Directed switch graph on a whole degree class: the arcs are the
+    symmetric switches, and ``matrices`` are the class's graphs."""
 
-    @property
-    def arc_count(self) -> int:
-        return sum(len(a) for a in self.arcs)
+    def switched(g: Graph, sw: Switch) -> bytes:
+        adj = g.writable_bits()
+        sym_switch_inplace(adj, sw, POSITIVE)
+        return adj.tobytes()
 
-
-def build_graph_dag(graphs: Sequence[Graph]) -> GraphClassDAG:
-    """Directed switch graph on a whole degree class (symmetric switches)."""
-    gs = list(graphs)
-    index = {g.key(): pos for pos, g in enumerate(gs)}
-    arcs: list[list[tuple[int, Switch]]] = []
-    for g in gs:
-        out = []
-        for sw in find_sym_checkerboards(g, NEGATIVE):
-            adj = g.writable_adj()
-            sym_switch_inplace(adj, sw, POSITIVE)
-            out.append((index[adj.tobytes()], sw))
-        arcs.append(out)
-    sinks = [v for v, out in enumerate(arcs) if not out]
-    return GraphClassDAG(gs, index, arcs, _unentered(len(gs), arcs), sinks)
+    return _class_dag(list(graphs), lambda g: find_sym_checkerboards(g, NEGATIVE), switched)
 
 
 @dataclass
@@ -559,17 +544,18 @@ class SpectralSinkReport:
 
 
 def verify_spectral_max_at_sink(
-    dag: GraphClassDAG, tol: float = 1e-9, vec_tol: float = 1e-7
+    dag: MatrixClassDAG, tol: float = 1e-9, vec_tol: float = 1e-7
 ) -> SpectralSinkReport:
-    """Check that the largest spectral radius of the class in ``dag`` (from
-    ``build_graph_dag``) is attained at one of its sinks, using the
-    independent Jacobi eigensolver for every member.
+    """Check that the largest spectral radius of the degree class in
+    ``dag`` (from ``build_graph_dag``, so its ``matrices`` are graphs) is
+    attained at one of its sinks, using the independent Jacobi eigensolver
+    for every member.
 
     Also checks, at every global maximiser, that principal-eigenvector
     entries respect the degree order (larger degree never gets a smaller
     entry, up to ``vec_tol``).
     """
-    gs = dag.graphs
+    gs = dag.matrices
     if not gs:
         raise ValueError("empty degree class")
     D = tuple(int(x) for x in gs[0].degrees)

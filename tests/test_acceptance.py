@@ -209,7 +209,7 @@ def test_criterion_05_m2_delta_law():
         )
         if g.m == 0:
             continue
-        adj = g.writable_adj()
+        adj = g.writable_bits()
         d = g.degrees
         _, m2, _, z2 = zagreb(g)
         for _ in range(25):
@@ -241,7 +241,7 @@ def test_criterion_06_lambda_bound():
             continue
         rep = spectral_radius(g)
         x = rep.eigvec
-        adj = g.writable_adj()
+        adj = g.writable_bits()
         bound = 0.0
         applied = 0
         for _ in range(int(rng.integers(1, 11))):

@@ -54,6 +54,8 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             BinaryMatrix([[0, 2], [1, 0]])
         with pytest.raises(ValueError):
+            BinaryMatrix([[0, -1], [1, 0]])
+        with pytest.raises(ValueError):
             BinaryMatrix([[]])
         with pytest.raises(ValueError):
             BinaryMatrix([0, 1])

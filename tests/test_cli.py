@@ -270,10 +270,6 @@ class TestEnumerate:
         )
         assert code == 2 and payload["error"] == "class larger than --max-states"
 
-    def test_negative_cap_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "enumerate", "--degrees", "2,2,2,2", "--max-states", "-2")
-        assert code == 64 and out == ""
-
     def test_degrees_nongraphical(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "--degrees", "3,1")
         assert code == 1 and "error" in payload
@@ -336,6 +332,9 @@ class TestUsage:
             ("analyze", "m.mat", "--tol", "nan"),
             ("reach", "a.mat", "b.mat", "--bfs-cap", "-1"),
             ("path", "a.mat", "b.mat", "--bfs-cap", "-1"),
+            ("enumerate", "--degrees", "2,2,2,2", "--max-states", "-2"),
+            ("scan-conjecture", "--trials", "-5"),
+            ("scan-conjecture", "--max-entry", "-1"),
         ],
     )
     def test_out_of_range_number_is_usage_error(self, tmp_path, capsys, argv):

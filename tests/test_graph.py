@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from switchgraph import binmat, graph
+from switchgraph import binmat, graph, oracle
 from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
 from switchgraph.errors import DegenerateGraph, InfeasibleMargins, InvalidSwitch
 from switchgraph.graph import (
@@ -94,6 +94,50 @@ class TestGraphType:
         assert (g.degrees == 3).all()
 
 
+# (n, p, seed) of sorted ER graphs whose margin classes stay small enough to
+# build in full, one larger graph, and the edgeless 3-vertex graph (None)
+MERGED_TYPE_GRAPHS = [(4, 0.5, 1), (5, 0.4, 2), (5, 0.6, 1), (6, 0.5, 0), (12, 0.3, 3), None]
+
+
+def merged_type_graph(spec):
+    if spec is None:
+        return Graph(np.zeros((3, 3), dtype=int))
+    return sort_by_degree(gen_erdos_renyi(*spec))[0]
+
+
+class TestGraphIsBinaryMatrix:
+    @pytest.mark.parametrize("spec", MERGED_TYPE_GRAPHS)
+    def test_same_matrix_as_binary_matrix(self, spec, tmp_path):
+        g = merged_type_graph(spec)
+        mat = BinaryMatrix(g.adj)
+        assert isinstance(g, BinaryMatrix)
+        assert binmat.classify(g).flags() == binmat.classify(mat).flags()
+        assert g == mat and mat == g
+        assert hash(g) == hash(mat)
+        binmat.write_matrix(g, tmp_path / "g.mat")
+        binmat.write_matrix(mat, tmp_path / "m.mat")
+        assert (tmp_path / "g.mat").read_bytes() == (tmp_path / "m.mat").read_bytes()
+
+    @pytest.mark.parametrize("spec", [s for s in MERGED_TYPE_GRAPHS if s is None or s[0] <= 6])
+    def test_both_builders_return_matrix_class_dag(self, spec):
+        g = merged_type_graph(spec)
+        margin_dag = oracle.build_dag(oracle.enumerate_margins(*binmat.row_col_sums(g)))
+        degree_dag = oracle.build_graph_dag(oracle.enumerate_degree_class(g.degrees))
+        assert isinstance(margin_dag, oracle.MatrixClassDAG)
+        assert isinstance(degree_dag, oracle.MatrixClassDAG)
+        assert margin_dag.matrices[margin_dag.index[g.key()]] == g
+        assert degree_dag.matrices[degree_dag.index[g.key()]] == g
+
+    def test_from_text_checks_graph(self):
+        with pytest.raises(ValueError):
+            Graph.from_text("2 2\n01\n00\n")
+        with pytest.raises(ValueError):
+            Graph.from_text("2 2\n11\n10\n")
+        rows = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+        g = Graph.from_text("3 3\n011\n100\n100\n")
+        assert type(g) is Graph and g == Graph(rows)
+
+
 class TestSortByDegree:
     def test_already_sorted(self):
         g = star_graph(3)
@@ -167,7 +211,7 @@ class TestSymCheckerboards:
         rng = np.random.default_rng(23)
         for _ in range(30):
             n = int(rng.integers(1, 41))
-            adj = random_graph(rng, n, float(rng.uniform(0.1, 0.9))).writable_adj()
+            adj = random_graph(rng, n, float(rng.uniform(0.1, 0.9))).writable_bits()
             table = graph.NegativeBoardTable(adj)
             for _ in range(int(rng.integers(1, 7))):
                 assert np.array_equal(table.counts, graph.sym_board_pair_counts(adj, NEGATIVE))
@@ -207,7 +251,7 @@ class TestNegativeBoardTable:
         for _ in range(8):
             n = int(rng.integers(4, 41))
             g, _ = sort_by_degree(random_graph(rng, n, float(rng.uniform(lo, hi))))
-            steps = walk_table(g.writable_adj(), rng, 30)
+            steps = walk_table(g.writable_bits(), rng, 30)
             made, adjacent = made + steps[0], adjacent + steps[1]
         assert made > 0 and adjacent > 0
 
@@ -215,7 +259,7 @@ class TestNegativeBoardTable:
         rng = np.random.default_rng(5)
         for n in (4, 5, 6, 9, 12):
             g, _ = sort_by_degree(random_graph(rng, n, 0.5))
-            adj = g.writable_adj()
+            adj = g.writable_bits()
             walk_table(adj, rng, 10**6)
             assert count_sym_checkerboards(adj, NEGATIVE) == 0
 
@@ -223,13 +267,13 @@ class TestNegativeBoardTable:
         "g", [Graph(np.zeros((6, 6), dtype=int)), complete_graph(6), star_graph(5)]
     )
     def test_boardless_graphs(self, g):
-        adj = g.writable_adj()
+        adj = g.writable_bits()
         table = graph.NegativeBoardTable(adj)
         assert not table.counts.any()
         assert walk_table(adj, np.random.default_rng(0), 5) == (0, 0)
 
     def test_switch_rejects_non_board(self):
-        adj = path_graph(4).writable_adj()
+        adj = path_graph(4).writable_bits()
         table = graph.NegativeBoardTable(adj)
         with pytest.raises(InvalidSwitch):
             table.switch(Switch(1, 2, 3, 4))

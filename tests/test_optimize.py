@@ -41,7 +41,7 @@ class TestSampler:
     def test_sink_returns_none(self):
         g = complete_graph(6)
         rng = np.random.default_rng(0)
-        assert sample_negative_checkerboard(g.writable_adj(), rng) is None
+        assert sample_negative_checkerboard(g.writable_bits(), rng) is None
 
     def test_single_board_found(self):
         # path 2-1-3 plus edge 4-... build a sorted graph with exactly one
@@ -55,7 +55,7 @@ class TestSampler:
         only = find_sym_checkerboards(g, NEGATIVE)[0]
         for trial_seed in range(5):
             out = sample_negative_checkerboard(
-                g.writable_adj(), np.random.default_rng(trial_seed)
+                g.writable_bits(), np.random.default_rng(trial_seed)
             )
             assert out == only
 
@@ -71,7 +71,7 @@ class TestSampler:
         draws = 10000
         rng = np.random.default_rng(7)
         counts = Counter(
-            sample_negative_checkerboard(g.writable_adj(), rng) for _ in range(draws)
+            sample_negative_checkerboard(g.writable_bits(), rng) for _ in range(draws)
         )
         assert set(counts) == set(boards)
         expect = draws / k
@@ -80,7 +80,7 @@ class TestSampler:
 
     def test_tiny_graph(self):
         g = Graph(np.zeros((3, 3), dtype=int))
-        assert sample_negative_checkerboard(g.writable_adj(), np.random.default_rng(0)) is None
+        assert sample_negative_checkerboard(g.writable_bits(), np.random.default_rng(0)) is None
 
 
 class TestRun:
@@ -193,7 +193,7 @@ class TestRun:
         # lambda1 column is float power iteration, so on one numpy build)
         traj = run(sorted_er(n, p, seed), budget=10**6, lambda_every=25, seed=seed)
         assert traj.termination == TERMINATION_SINK
-        text = trajectory_csv(traj) + traj.final.to_binary_matrix().to_text()
+        text = trajectory_csv(traj) + traj.final.to_text()
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_reproducible(self):

@@ -267,7 +267,7 @@ class TestSpectralMaxAtSink:
     def test_graph_dag_sources_sinks(self):
         graphs = oracle.enumerate_degree_class([2, 2, 1, 1])
         dag = oracle.build_graph_dag(graphs)
-        assert len(graphs) == len(dag.graphs)
+        assert len(graphs) == len(dag.matrices)
         for v, g in enumerate(graphs):
             from switchgraph.graph import count_sym_checkerboards
 

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  The heavyweight sweeps are shared through session fixtures.
 """
 
+import hashlib
+import json
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -60,12 +62,75 @@ class SweepResult:
     backward_records: int = 0
     differences: int = 0
     elapsed: float = 0.0
+    digests: dict = field(default_factory=dict)
+
+
+def arc_lists(dag) -> list:
+    return [[[dest, list(sw)] for dest, sw in out] for out in dag.arcs]
+
+
+def class_digest_record(R, C, dag, srep, rrep) -> bytes:
+    """Canonical JSON of everything the oracle reports on one margin class."""
+    record = {
+        "R": list(R),
+        "C": list(C),
+        "count": len(dag.matrices),
+        "arcs": arc_lists(dag),
+        "sources": dag.sources,
+        "sinks": dag.sinks,
+        "checks": [
+            srep.acyclic, srep.connected, srep.potential_law, srep.unique_sink,
+            srep.unique_source, srep.singleton_nested, rrep.necessity_ok, rrep.sufficiency_ok,
+        ],
+        "failures": srep.failures + rrep.failures,
+        "conjecture": [
+            [rec.diff_key.hex(), rec.cond_ii, rec.cond_iii, rec.pairs, rec.reachable_pairs,
+             list(rec.example_pair)]
+            for rec in rrep.conjecture
+        ],
+    }
+    return json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+
+# sha256 per (p, q) block of the criterion 2 sweep, over class_digest_record
+# of every feasible class in margin_space order
+MARGIN_SWEEP_DIGESTS = {
+    "1x1": "a09dd58fe8936f9b5748909e0b7607a438c6eb5cdf538df0b1d3beb088549214",
+    "1x2": "dc1514e49a5afffb5ae612f637311352f965de1744037d5d5c66e376bdd07281",
+    "1x3": "d161503ee8d31b934d0d64185ac24de09a0138427343619912a46e940c7ba717",
+    "1x4": "fa36aaa3eff337d4458d2e412c5e28ac48e715654da5f0076b16829fbbb1bd24",
+    "2x1": "95abffbee28e4a2d07f3102bffaf3681fa0e5528f1218ea84fdf65438c533714",
+    "2x2": "4b62681cbb83a2178f734416a80e10e363cbd5a237b3ddf533d6a9af9994c743",
+    "2x3": "252586bd79b9a8a1db2b49dc982b4b46a962ff5aab4e9d18301314316931f559",
+    "2x4": "51ee223c8353d5364d56417c008a8eb2c643afc8bf948c2a7ac6c2e276d30730",
+    "3x1": "8260aa15a96ecb07ffd940c40d1e3d13fa8bca47c0b0b3d363384f351dada41b",
+    "3x2": "3fa0128badad1d2646b585b210edd556d3cc997ec876f5c07b9430e297b83ff3",
+    "3x3": "5edbd2065fa1e6235bdd5ff7d0bc0394a1245fe48de96faebd895be21141b5cd",
+    "3x4": "5b013a169d1eb0f503f2ff78096b44e90edbaf62a0c8120612923ebeb1b4bade",
+    "4x1": "999f1dcce525ae4457e7bdcad2e6af561afdba1f6593dcf5118e5c835f1d00f6",
+    "4x2": "540798959a999d5a9deeb87f25012ae5f49715020de88aee40a21ab92b8010ea",
+    "4x3": "7d08ce462ec42ab4aac923856a84481318d41d3f75cc8fa36513f784689925c9",
+    "4x4": "bb1ce0febde50677a88e0c7b8bddbb620bd8d18b322f3fb6bf36767d26017b8c",
+}
+
+# sha256 per n of criterion 7, over the arcs, sources and sinks of
+# build_graph_dag for every graphical sequence in graphical_sequences order
+GRAPH_DAG_DIGESTS = {
+    1: "e60e0d71ed82535fbbd99df978f3f3100ca374673788492f7b05a13ce4d6441e",
+    2: "464057af2c19cc72e888cea588275f406ed2b19374ce37d0d54d4831d242d514",
+    3: "442f9d0e9bbe2efcd62ae957f1fff118d665ad0a941706e7c6d7f749185be8b5",
+    4: "eb8eba3def5c824d31b389f78d92f09f77cb0fde10a4dff63171a44991feb0ac",
+    5: "8b18e4f657ba85f3e10baf838e3bcc9f584388ec4c796df4d8888906b864a4aa",
+    6: "79af5a410a1dc7c40cb2f73117b5e99e5e2cb831bf3dca4c78e1795bb1d269b4",
+    7: "02dd882527953cea70e1293ac457c07cdc2e4767e66794261785d0642a4849dd",
+}
 
 
 @pytest.fixture(scope="session")
 def margin_sweep() -> SweepResult:
     """Every margin pair with p, q <= 4 and entries <= 3, fully checked."""
     out = SweepResult()
+    hashers = {}
     t0 = time.perf_counter()
     for R, C in oracle.margin_space(4, 4, 3):
         mats = oracle.enumerate_margins(R, C)
@@ -77,6 +142,8 @@ def margin_sweep() -> SweepResult:
         if not srep.ok:
             out.structure_failures.append((R, C, srep.failures[:3]))
         rrep = oracle.verify_reachability(dag)
+        hasher = hashers.setdefault(f"{len(R)}x{len(C)}", hashlib.sha256())
+        hasher.update(class_digest_record(R, C, dag, srep, rrep))
         out.pairs += rrep.pairs
         if not rrep.ok:
             out.reach_failures.append((R, C, rrep.failures[:3]))
@@ -90,6 +157,7 @@ def margin_sweep() -> SweepResult:
             if rec.backward_counterexample:
                 out.backward_records += 1
     out.elapsed = time.perf_counter() - t0
+    out.digests = {block: h.hexdigest() for block, h in hashers.items()}
     return out
 
 
@@ -139,6 +207,16 @@ def test_criterion_02_reachability_ground_truth(margin_sweep):
         f"classes, ring pair unreachable, block pair at distance 4 "
         f"({sw.elapsed:.1f}s < 300s)",
     )
+
+
+def test_margin_sweep_golden_digests(margin_sweep):
+    # a mismatch names the (p, q) blocks whose oracle reports changed
+    changed = sorted(
+        block
+        for block in MARGIN_SWEEP_DIGESTS.keys() | margin_sweep.digests.keys()
+        if MARGIN_SWEEP_DIGESTS.get(block) != margin_sweep.digests.get(block)
+    )
+    assert not changed, f"oracle reports changed in blocks {changed}"
 
 
 def test_criterion_03_constructive_builder():
@@ -266,14 +344,19 @@ def test_criterion_07_spectral_max_at_sink():
     sequences = 0
     graphs_total = 0
     failures = []
+    digests = {}
     for n in range(1, 8):
+        hasher = hashlib.sha256()
         for D in oracle.graphical_sequences(n):
             sequences += 1
             graphs = oracle.enumerate_degree_class(list(D))
             graphs_total += len(graphs)
-            rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs), tol=1e-9)
+            dag = oracle.build_graph_dag(graphs)
+            hasher.update(json.dumps([list(D), arc_lists(dag), dag.sources, dag.sinks]).encode())
+            rep = oracle.verify_spectral_max_at_sink(dag, tol=1e-9)
             if not rep.ok:
                 failures.append((D, rep.failures[:2]))
+        digests[n] = hasher.hexdigest()
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600.0
     report(
@@ -282,6 +365,8 @@ def test_criterion_07_spectral_max_at_sink():
         f"{sequences} degree sequences, {graphs_total} graphs, max-at-sink and "
         f"eigenvector order exact ({elapsed:.1f}s < 600s); {len(failures)} failures",
     )
+    changed = [n for n in digests if digests[n] != GRAPH_DAG_DIGESTS.get(n)]
+    assert not changed, f"degree-class DAGs changed for n in {changed}"
 
 
 def test_criterion_08_simulation_reproduction():

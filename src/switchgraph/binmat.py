@@ -77,9 +77,13 @@ class BinaryMatrix:
         arr.setflags(write=False)
         self.bits = arr
         self.row_sums = arr.sum(axis=1, dtype=np.int64)
-        self.col_sums = arr.sum(axis=0, dtype=np.int64)
         self.row_sums.setflags(write=False)
-        self.col_sums.setflags(write=False)
+        self.col_sums = self._column_sums(arr)
+
+    def _column_sums(self, arr: np.ndarray) -> np.ndarray:
+        sums = arr.sum(axis=0, dtype=np.int64)
+        sums.setflags(write=False)
+        return sums
 
     @property
     def p(self) -> int:
@@ -170,34 +174,49 @@ _BLOCK_CELLS = 1 << 20
 
 
 def board_coords(bits: np.ndarray, sign: str) -> np.ndarray:
-    """All boards of one sign as an N x 4 array of 1-based (i, j, k, l),
-    i < j and k < l, in lexicographic order.
+    """All boards of one sign, in lexicographic order.
+
+    For one p x q matrix: an N x 4 array of 1-based (i, j, k, l), i < j
+    and k < l.  For an (N, p, q) stack: rows (member, i, j, k, l) with a
+    0-based member, sorted by member and lexicographic within each member.
 
     A negative board has 0 at (i, k) and (j, l) and 1 at (i, l) and
     (j, k); a positive board is the reverse.  One boolean mask over
-    (i, j, k, l) marks the pattern and ``np.argwhere`` lists it in C order,
-    which is lexicographic.  Rows i are taken in blocks of
-    ``_BLOCK_CELLS // (p * q**2)`` (at least one).
+    (member, i, j, k, l) marks the pattern and ``np.argwhere`` lists it in
+    C order, which is the order above.  The mask is built in blocks of
+    ``_BLOCK_CELLS // (p * q**2)`` (member, row i) pairs, at least one: a
+    block holds whole members, or the rows of one member in runs, so
+    blocks may end inside a member.
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown sign {sign!r}")
     a = np.asarray(bits, dtype=bool)
-    p, q = a.shape
-    # ones_zeros[r, k, l]: row r reads 1 at k and 0 at l, for k < l
-    upper = np.triu(np.ones((q, q), dtype=bool), k=1)
-    ones_zeros = a[:, :, None] & ~a[:, None, :] & upper
-    zeros_ones = ~a[:, :, None] & a[:, None, :] & upper
-    top, bottom = (ones_zeros, zeros_ones) if sign == POSITIVE else (zeros_ones, ones_zeros)
-    rows = np.arange(p)
-    step = max(1, _BLOCK_CELLS // (p * q * q))
-    blocks = []
-    for start in range(0, p, step):
-        below = rows[start : start + step, None] < rows
-        mask = top[start : start + step, None] & bottom & below[:, :, None, None]
-        found = np.argwhere(mask)
-        found[:, 0] += start
-        blocks.append(found)
-    return np.concatenate(blocks) + 1
+    stack = a if a.ndim == 3 else a[None]
+    n, p, q = stack.shape
+    cols = np.arange(q)
+    upper = cols[:, None] < cols
+    every = np.arange(p)
+    rows = max(1, _BLOCK_CELLS // (p * q * q))
+    members = max(1, rows // p)
+    rows = min(rows, p)
+    blocks = [np.empty((0, 5), dtype=np.intp)]
+    for m in range(0, n, members):
+        part = stack[m : m + members]
+        # ones_zeros[m, r, k, l]: row r of member m reads 1 at k and 0 at l, k < l
+        ones_zeros = part[:, :, :, None] > part[:, :, None, :]
+        ones_zeros &= upper
+        zeros_ones = part[:, :, :, None] < part[:, :, None, :]
+        zeros_ones &= upper
+        top, bottom = (ones_zeros, zeros_ones) if sign == POSITIVE else (zeros_ones, ones_zeros)
+        for i in range(0, p, rows):
+            mask = top[:, i : i + rows, None] & bottom[:, None]
+            mask &= (every[i : i + rows, None] < every)[:, :, None, None]
+            found = np.argwhere(mask)
+            found[:, :2] += (m, i)
+            blocks.append(found)
+    out = np.concatenate(blocks)
+    out[:, 1:] += 1
+    return out if a.ndim == 3 else out[:, 1:]
 
 
 def find_checkerboards(A: BinaryMatrix, sign: str | None = None) -> list[Checkerboard]:
@@ -294,9 +313,14 @@ def potential(A: BinaryMatrix) -> int:
     A positive switch at (i, j, k, l) increases the potential by exactly
     (j - i) * (l - k), which makes the switch order acyclic.
     """
-    p, q = A.bits.shape
+    return int(potentials(A.bits))
+
+
+def potentials(bits: np.ndarray) -> np.ndarray:
+    """:func:`potential` of every matrix in a (..., p, q) stack, as int64."""
+    p, q = bits.shape[-2:]
     weights = np.outer(np.arange(1, p + 1, dtype=np.int64), np.arange(1, q + 1))
-    return int((weights * A.bits).sum())
+    return bits.reshape(*bits.shape[:-2], p * q).astype(np.int64) @ weights.ravel()
 
 
 def complement(A: BinaryMatrix) -> BinaryMatrix:
@@ -315,63 +339,68 @@ def reflect_vertical(A: BinaryMatrix) -> BinaryMatrix:
 
 
 def _prefix_runs(bits: np.ndarray) -> np.ndarray:
-    """Length of the initial run of 1s in each row."""
-    p, q = bits.shape
-    if p == 0 or q == 0:
-        return np.zeros(p, dtype=np.int64)
-    padded = np.hstack([bits == 0, np.ones((p, 1), dtype=bool)])
-    return padded.argmax(axis=1)
+    """Length of the initial run of 1s in each row of a (..., p, q) stack."""
+    stop = np.concatenate([bits == 0, np.ones((*bits.shape[:-1], 1), dtype=bool)], axis=-1)
+    return stop.argmax(axis=-1)
 
 
-def _nested_rows(bits: np.ndarray) -> int:
-    """Number of leading rows that form a nested block, in one O(pq) pass.
+def _nested_rows(bits: np.ndarray) -> np.ndarray:
+    """Number of leading rows that form a nested block, per matrix of a
+    (..., p, q) stack, in one O(pq) pass.
 
     Both conditions are local: each row is a prefix run of 1s (it never
     rises), and each run is no longer than the one above.  So the rows
     [0, h) are nested exactly when h <= _nested_rows(bits).
     """
-    runs = bits.sum(axis=1)
-    good = (bits[:, 1:] <= bits[:, :-1]).all(axis=1)
-    good[1:] &= runs[1:] <= runs[:-1]
-    return bits.shape[0] if good.all() else int(good.argmin())
+    runs = bits.sum(axis=-1)
+    good = (bits[..., 1:] <= bits[..., :-1]).all(axis=-1)
+    good[..., 1:] &= runs[..., 1:] <= runs[..., :-1]
+    return np.where(good.all(axis=-1), bits.shape[-2], good.argmin(axis=-1))
 
 
-def is_nested(bits: np.ndarray) -> bool:
-    """True when 1s precede 0s in every row and column.
+def is_nested(bits: np.ndarray):
+    """True when 1s precede 0s in every row and column (per matrix of a
+    (..., p, q) stack).
 
     Equivalent formulation used here: every row is a prefix run of 1s and
     the run lengths are non-increasing from top to bottom.
     """
-    return _nested_rows(bits) == bits.shape[0]
+    return _nested_rows(bits) == bits.shape[-2]
 
 
-def is_anti_nested(bits: np.ndarray) -> bool:
+def is_anti_nested(bits: np.ndarray):
     """True when 0s precede 1s in every row and column, that is when the
     half turn (rows and columns reversed) is nested."""
-    return is_nested(bits[::-1, ::-1])
+    return is_nested(bits[..., ::-1, ::-1])
 
 
-def _split_facts(bits: np.ndarray) -> tuple[bool, bool]:
-    """(some row cut splits ``bits``, some such cut has a 1 on both sides).
+def _split_facts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(some row cut splits the matrix, some such cut has a 1 on both
+    sides), per matrix of a (..., p, q) stack.
 
     The cuts h with rows [0, h) nested and rows [h, p) anti-nested are
     exactly the integers of [p - nested rows of the half turn, nested
     rows]: a nested top stays nested when shortened, and so does an
     anti-nested bottom, which the half turn maps to a nested top.
     """
-    lo = bits.shape[0] - _nested_rows(bits[::-1, ::-1])
+    p = bits.shape[-2]
+    lo = p - _nested_rows(bits[..., ::-1, ::-1])
     hi = _nested_rows(bits)
-    filled = np.flatnonzero(bits.any(axis=1))
+    filled = bits.any(axis=-1)
+    first = filled.argmax(axis=-1)
+    last = p - 1 - filled[..., ::-1].argmax(axis=-1)
     # a cut h has a 1 above it when h > first filled row, below when h <= last
-    two_sided = filled.size > 0 and max(lo, filled[0] + 1) <= min(hi, filled[-1])
-    return lo <= hi, bool(two_sided)
+    two_sided = filled.any(axis=-1) & (np.maximum(lo, first + 1) <= np.minimum(hi, last))
+    return lo <= hi, two_sided
 
 
-def _zebra_parts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    lengths = np.minimum.accumulate(_prefix_runs(bits))
-    nested = (np.arange(bits.shape[1]) < lengths[:, None]).astype(np.int8)
+def _zebra_parts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(staircase N, rest, rest is anti-nested) per matrix of a (..., p, q)
+    stack; see :func:`zebra_parts`."""
+    lengths = np.minimum.accumulate(_prefix_runs(bits), axis=-1)
+    nested = (np.arange(bits.shape[-1]) < lengths[..., None]).astype(np.int8)
     rest = (bits - nested).astype(np.int8)
-    return (nested, rest) if is_anti_nested(rest) else None
+    return nested, rest, is_anti_nested(rest)
 
 
 def zebra_parts(A: BinaryMatrix) -> tuple[np.ndarray, np.ndarray] | None:
@@ -385,7 +414,8 @@ def zebra_parts(A: BinaryMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     are non-decreasing in each of the four full/not-full cases of two
     consecutive rows.
     """
-    return _zebra_parts(A.bits)
+    nested, rest, ok = _zebra_parts(A.bits)
+    return (nested, rest) if ok else None
 
 
 @dataclass(frozen=True)
@@ -437,14 +467,43 @@ class MatrixClass:
         }
 
 
-def _zebra_split(bits: np.ndarray) -> tuple[bool, bool, bool]:
-    """(split_h, split_v, degenerate) for the zebra family: a row or column
-    cut splits ``bits`` into a nested and an anti-nested part, and
-    degenerate when no such cut has a 1 on both sides."""
+def _zebra_split(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(split_h, split_v, degenerate) for the zebra family, per matrix of a
+    (..., p, q) stack: a row or column cut splits it into a nested and an
+    anti-nested part, and degenerate when no such cut has a 1 on both
+    sides."""
     split_h, two_sided_h = _split_facts(bits)
-    split_v, two_sided_v = _split_facts(bits.T)
-    degenerate = (split_h or split_v) and not (two_sided_h or two_sided_v)
+    split_v, two_sided_v = _split_facts(bits.swapaxes(-1, -2))
+    degenerate = (split_h | split_v) & ~(two_sided_h | two_sided_v)
     return split_h, split_v, degenerate
+
+
+def class_flags(bits: np.ndarray) -> dict[str, np.ndarray]:
+    """The fields of :class:`MatrixClass` for every matrix of a (..., p, q)
+    stack, each as a boolean array over the leading axes.
+
+    This is the one implementation behind :func:`classify`; the oracle
+    calls it once on a whole class.
+    """
+    bits = np.asarray(bits, dtype=np.int8)
+    # the zebra family of each form: A, the anti-zebra transform (complement
+    # of the vertical reflection), and the two forms whose splits make A a
+    # complement of a split
+    forms = np.stack([bits, 1 - bits[..., ::-1, :], 1 - bits, bits[..., ::-1, :]])
+    split_h, split_v, degenerate = _zebra_split(forms)
+    zebra = _zebra_parts(forms[:2])[2]
+    return {
+        "nested": is_nested(bits),
+        "anti_nested": is_anti_nested(bits),
+        "zebra": zebra[0],
+        "zebra_split_h": split_h[0],
+        "zebra_split_v": split_v[0],
+        "anti_zebra": zebra[1],
+        "anti_zebra_split_h": split_h[1],
+        "anti_zebra_split_v": split_v[1],
+        "complement_of_split": (split_h[2:] | split_v[2:]).any(axis=0),
+        "degenerate_split": degenerate[0] | degenerate[1],
+    }
 
 
 def classify(A: BinaryMatrix) -> MatrixClass:
@@ -461,26 +520,10 @@ def classify(A: BinaryMatrix) -> MatrixClass:
     nested top and an anti-nested bottom form the interval
     [p - nested rows of the half turn, nested rows], column cuts the same
     on the transpose, and the zebra test is the staircase peel of
-    :func:`zebra_parts`.
+    :func:`zebra_parts`.  This wraps :func:`class_flags`, which does the
+    same on a whole stack at once.
     """
-    bits = A.bits
-    anti_bits = (1 - bits[::-1]).astype(np.int8)
-    sh, sv, degen_z = _zebra_split(bits)
-    ash, asv, degen_a = _zebra_split(anti_bits)
-    csh, csv, _ = _zebra_split(1 - bits)
-    cash, casv, _ = _zebra_split(bits[::-1])
-    return MatrixClass(
-        nested=is_nested(bits),
-        anti_nested=is_anti_nested(bits),
-        zebra=_zebra_parts(bits) is not None,
-        zebra_split_h=sh,
-        zebra_split_v=sv,
-        anti_zebra=_zebra_parts(anti_bits) is not None,
-        anti_zebra_split_h=ash,
-        anti_zebra_split_v=asv,
-        complement_of_split=csh or csv or cash or casv,
-        degenerate_split=degen_z or degen_a,
-    )
+    return MatrixClass(**{name: bool(flag) for name, flag in class_flags(A.bits).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ class Graph(BinaryMatrix):
             raise ValueError("adjacency must be symmetric")
         self._finish(arr)
 
+    def _column_sums(self, arr: np.ndarray) -> np.ndarray:
+        return self.row_sums  # symmetric: the column sums are the row sums
+
     @property
     def adj(self) -> np.ndarray:
         return self.bits
@@ -89,14 +92,17 @@ def find_sym_checkerboards(G: Graph, sign: str) -> list[Switch]:
     """
     if not G.is_degree_sorted():
         raise ValueError("graph operations expect degree-sorted vertices")
-    if sign not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"unknown sign {sign!r}")
-    # negative (positive) boards of the adjacency matrix with four distinct
-    # vertices, each symmetric pair once: (i, j) before (k, l) means i < k
-    b = binmat.board_coords(G.adj, sign)
-    i, j, k, l = b.T
-    keep = (i < k) & (k != j) & (l != j)
-    return [Switch(*coord) for coord in b[keep].tolist()]
+    return [Switch(*coord) for coord in sym_board_coords(G.adj, sign).tolist()]
+
+
+def sym_board_coords(adj: np.ndarray, sign: str) -> np.ndarray:
+    """The rows of ``binmat.board_coords(adj, sign)`` that are symmetric
+    boards: four distinct vertices, each symmetric pair once ((i, j) before
+    (k, l) means i < k).  ``adj`` is one adjacency matrix or an (N, n, n)
+    stack, with the row layout of :func:`binmat.board_coords`."""
+    b = binmat.board_coords(adj, sign)
+    i, j, k, l = b[:, -4:].T
+    return b[(i < k) & (k != j) & (l != j)]
 
 
 def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:

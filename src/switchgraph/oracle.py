@@ -21,14 +21,8 @@ import numpy as np
 
 from . import binmat, reach
 from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
-from .errors import MarginSumMismatch, NonGraphical
-from .graph import (
-    Graph,
-    dense_spectral_radius,
-    find_sym_checkerboards,
-    spectral_radius,
-    sym_switch_inplace,
-)
+from .errors import InternalInvariantViolation, MarginSumMismatch, NonGraphical
+from .graph import Graph, dense_spectral_radius, spectral_radius, sym_board_coords
 
 # ---------------------------------------------------------------------------
 # Margin-class enumeration
@@ -124,14 +118,17 @@ class MatrixClassDAG:
     ``build_dag``, or a degree class of ``Graph`` members (each a
     symmetric ``BinaryMatrix``) from ``build_graph_dag``.
 
-    ``index`` maps a member's ``key()`` to its position, and ``arcs[v]``
-    lists (destination index, switch coordinate) for every positive switch
-    leaving member ``v``.  Sinks have no arc out, sources no arc in.
+    ``index`` maps a member's ``key()`` to its position, ``arcs[v]`` lists
+    (destination index, switch coordinate) for every positive switch
+    leaving member ``v``, in lexicographic switch order, and ``bits``
+    stacks the members' bits as one (N, p, q) array.  Sinks have no arc
+    out, sources no arc in.
     """
 
     matrices: list[BinaryMatrix]
     index: dict[bytes, int]
     arcs: list[list[tuple[int, Switch]]]
+    bits: np.ndarray
     sources: list[int] = field(default_factory=list)
     sinks: list[int] = field(default_factory=list)
 
@@ -140,36 +137,77 @@ class MatrixClassDAG:
         return sum(len(a) for a in self.arcs)
 
 
-def _unentered(n: int, arcs: list[list[tuple[int, Switch]]]) -> list[int]:
-    """Vertices with no arc in.  In a closed class each positive board of a
-    member is the far end of exactly one arc, so these are the members
-    without a positive board."""
-    entered = [False] * n
-    for out in arcs:
-        for dest, _ in out:
-            entered[dest] = True
-    return [v for v in range(n) if not entered[v]]
+def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> MatrixClassDAG:
+    """Arcs over a whole class from its stacked ``bits``.
 
-
-def _class_dag(members: list, boards, switched) -> MatrixClassDAG:
-    """Arcs over a whole class: ``boards(member)`` lists the negative
-    boards of a member, and ``switched(member, sw)`` is the ``key()`` of
-    the member with ``sw`` switched to positive."""
+    ``list_boards(stack)`` lists the negative boards of a stack of members
+    as rows (member, i, j, k, l), like :func:`binmat.board_coords`.  Each
+    arc's destination is its member with the board switched to positive,
+    made in one stacked copy (with the mirrored cells too when
+    ``mirrored``, for graphs) and looked up among the members' sorted
+    bytes.  Members are taken in chunks of ``binmat._BLOCK_CELLS // (16 *
+    (pq)**2)``, so the listed boards and copies stay bounded: every margin
+    class with p, q <= 4 is one chunk, and a degree class with n = 7 is
+    one chunk per 27 graphs.
+    """
+    n = len(members)
     index = {m.key(): pos for pos, m in enumerate(members)}
-    arcs = [[(index[switched(m, sw)], sw) for sw in boards(m)] for m in members]
+    size = bits.shape[1] * bits.shape[2]
+    as_bytes = np.dtype((np.void, size))  # int8: one byte per cell, as in key()
+    keys = bits.reshape(n, size).view(as_bytes).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    arcs: list[list[tuple[int, Switch]]] = [[] for _ in members]
+    entered = np.zeros(n, dtype=bool)
+    # per member the lister's mask has size**2 cells and finds at most
+    # size**2 / 4 boards of 40 bytes, so 16 * size**2 bytes bound its scratch
+    step = max(1, binmat._BLOCK_CELLS // (16 * size * size))
+    for start in range(0, n, step):
+        boards = list_boards(bits[start : start + step])
+        src, i, j, k, l = (boards - (-start, 1, 1, 1, 1)).T
+        switched = bits[src]
+        arc = np.arange(len(boards))
+        cells = [(i, k, 1), (j, l, 1), (i, l, 0), (j, k, 0)]
+        if mirrored:
+            cells += [(c, r, v) for r, c, v in cells]
+        for r, c, v in cells:
+            switched[arc, r, c] = v
+        found = switched.reshape(len(boards), size).view(as_bytes).ravel()
+        pos = np.minimum(np.searchsorted(ordered, found), n - 1)
+        if (ordered[pos] != found).any():
+            raise InternalInvariantViolation("a switched member is not in the class")
+        dests = order[pos]
+        # in a closed class each positive board of a member is the far end
+        # of exactly one arc, so the sources are the members never entered
+        entered[dests] = True
+        for v, dest, *coord in zip(src.tolist(), dests.tolist(), *boards[:, 1:].T.tolist()):
+            arcs[v].append((dest, Switch(*coord)))
     sinks = [v for v, out in enumerate(arcs) if not out]
-    return MatrixClassDAG(members, index, arcs, _unentered(len(members), arcs), sinks)
+    return MatrixClassDAG(members, index, arcs, bits, np.flatnonzero(~entered).tolist(), sinks)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique`` over the rows of a 2-D array, each row compared as its
+    bytes: (distinct rows, first index of each, label of every row)."""
+    rows = np.ascontiguousarray(rows)
+    whole = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    distinct, first, label = np.unique(whole, return_index=True, return_inverse=True)
+    return distinct.view(rows.dtype).reshape(-1, rows.shape[1]), first, label.ravel()
+
+
+def _stack(members: list) -> np.ndarray:
+    if not members:
+        return np.zeros((0, 1, 1), dtype=np.int8)
+    return np.stack([m.bits for m in members])
 
 
 def build_dag(matrices: Sequence[BinaryMatrix]) -> MatrixClassDAG:
     """Arcs from exhaustive checkerboard enumeration over a whole class."""
     mats = list(matrices)
-    if len({binmat.row_col_sums(mat) for mat in mats}) > 1:
+    if len({(m.row_sums.tobytes(), m.col_sums.tobytes()) for m in mats}) > 1:
         raise MarginSumMismatch("matrices do not share margins")
     return _class_dag(
-        mats,
-        lambda mat: [cb.coord for cb in binmat.find_checkerboards(mat, NEGATIVE)],
-        lambda mat, sw: binmat.apply_switch(mat, sw, POSITIVE).key(),
+        mats, _stack(mats), lambda part: binmat.board_coords(part, NEGATIVE), mirrored=False
     )
 
 
@@ -259,7 +297,7 @@ def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
         failures.append("underlying graph disconnected")
 
     potential_law = True
-    pots = [binmat.potential(m) for m in dag.matrices]
+    pots = binmat.potentials(dag.bits).tolist()
     for v, out in enumerate(dag.arcs):
         for dest, sw in out:
             delta = pots[dest] - pots[v]
@@ -267,10 +305,10 @@ def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
                 potential_law = False
                 failures.append(f"potential law broken on arc {v}->{dest} via {tuple(sw)}")
 
-    classes = [binmat.classify(m) for m in dag.matrices]
-    split_members = [
-        v for v, cls in enumerate(classes) if cls.is_split_zebra or cls.is_split_anti_zebra
-    ]
+    flags = binmat.class_flags(dag.bits)
+    split = flags["zebra_split_h"] | flags["zebra_split_v"]
+    split |= flags["anti_zebra_split_h"] | flags["anti_zebra_split_v"]
+    split_members = np.flatnonzero(split).tolist()
     if not split_members:
         unique_sink = "vacuous"
     elif len(split_members) == 1 and dag.sinks == split_members:
@@ -281,7 +319,7 @@ def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
             f"split members {split_members} vs sinks {dag.sinks}"
         )
 
-    comp_members = [v for v, cls in enumerate(classes) if cls.complement_of_split]
+    comp_members = np.flatnonzero(flags["complement_of_split"]).tolist()
     if not comp_members:
         unique_source = "vacuous"
     elif len(comp_members) == 1 and dag.sources == comp_members:
@@ -394,56 +432,89 @@ class ReachabilityReport:
 
 def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     """Compare condition predicates against BFS ground truth on all ordered
-    pairs of the class; log per-difference conjecture evidence."""
+    pairs of the class; log per-difference conjecture evidence.
+
+    The answer comes from ``reachability_closure``.  T(A_b - A_a) is the
+    difference of the members' prefix sums, so condition (i) is decided
+    for all pairs (a, b) at once, in blocks of rows a; conditions (ii) and
+    (iii) depend on T alone and are evaluated once per distinct T.  The
+    result is that of one loop over a, then b (a != b): records appear in
+    the order their T first occurs, ``example_pair`` is that first pair,
+    and failures of both kinds are interleaved in (a, b) order.
+    """
     mats = dag.matrices
     n = len(mats)
-    if n == 0:
+    if n < 2:
         return ReachabilityReport(0, True, True)
     closure = reachability_closure(dag)
     margins = binmat.row_col_sums(mats[0])
-    # prefix sums make T(A' - A) a single subtraction per pair
-    psums = [
-        m.bits.astype(np.int64).cumsum(axis=0).cumsum(axis=1)[: m.p - 1, : m.q - 1]
-        for m in mats
-    ]
+    _, p, q = dag.bits.shape
+    cells = (p - 1) * (q - 1)
+    psums = dag.bits.astype(np.int64).cumsum(axis=1).cumsum(axis=2)[:, : p - 1, : q - 1]
+    # prefix sums and every entry of T lie in [-pq, pq]: the smallest signed
+    # type that holds them keeps the pair blocks small; records keep int64
+    psums = psums.reshape(n, cells).astype(np.min_scalar_type(-p * q - 1))
+    width = (n + 7) // 8
     necessity_ok = True
     sufficiency_ok = True
     failures: list[str] = []
-    # conditions (ii) and (iii) depend on T alone: evaluated once per record
     groups: dict[bytes, ConjectureRecord] = {}
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            t_vals = psums[b] - psums[a]
-            cond_i = bool((t_vals >= 0).all())
-            reachable = bool(closure[a] >> b & 1)
-            if reachable and not cond_i:
-                necessity_ok = False
-                failures.append(f"pair ({a},{b}): reachable but T has negatives")
-            if not cond_i:
-                continue
-            key = t_vals.tobytes()
-            rec = groups.get(key)
-            if rec is None:
-                _, cond_ii, cond_iii = reach.conditions_from_T(t_vals)
-                rec = groups[key] = ConjectureRecord(
-                    margins=margins,
-                    diff_key=key,
-                    cond_i=cond_i,
-                    cond_ii=cond_ii,
-                    cond_iii=cond_iii,
-                    pairs=0,
-                    reachable_pairs=0,
-                    example_pair=(a, b),
-                )
-            if rec.cond_ii and rec.cond_iii and not reachable:
-                sufficiency_ok = False
+    rows = max(1, binmat._BLOCK_CELLS // (n * cells))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # t_vals[a - start, b] is T(A_b - A_a), flattened
+        t_vals = psums[None, :, :] - psums[start:stop, None, :]
+        cond_i = (t_vals >= 0).all(axis=2)
+        masks = b"".join(mask.to_bytes(width, "little") for mask in closure[start:stop])
+        reachable = np.unpackbits(
+            np.frombuffer(masks, dtype=np.uint8).reshape(stop - start, width),
+            axis=1, count=n, bitorder="little",
+        ).astype(bool)
+        own = np.arange(stop - start)
+        reachable[own, own + start] = False  # a == b is no pair
+        cond_i[own, own + start] = False
+        necessity = reachable & ~cond_i
+        # distinct T of the block, taken in the order they first occur
+        fits = np.flatnonzero(cond_i)
+        distinct, first, inverse = _distinct_rows(t_vals.reshape(-1, cells)[fits])
+        pairs = np.bincount(inverse, minlength=len(distinct)).tolist()
+        reached = np.bincount(inverse[reachable.ravel()[fits]], minlength=len(distinct)).tolist()
+        distinct = distinct.astype(np.int64)
+        order = np.argsort(first, kind="stable").tolist()
+        keys = [distinct[g].tobytes() for g in order]
+        new = [(g, key) for g, key in zip(order, keys) if key not in groups]
+        grids = distinct[[g for g, _ in new]].reshape(len(new), p - 1, q - 1)
+        _, cond_ii, cond_iii = reach.grid_conditions(grids)
+        for (g, key), ii, iii in zip(new, cond_ii.tolist(), cond_iii.tolist()):
+            a, b = divmod(int(fits[first[g]]), n)
+            groups[key] = ConjectureRecord(
+                margins=margins,
+                diff_key=key,
+                cond_i=True,
+                cond_ii=ii,
+                cond_iii=iii,
+                pairs=0,
+                reachable_pairs=0,
+                example_pair=(start + a, b),
+            )
+        holds = np.empty(len(distinct), dtype=bool)
+        for g, key in zip(order, keys):
+            rec = groups[key]
+            rec.pairs += pairs[g]
+            rec.reachable_pairs += reached[g]
+            holds[g] = rec.cond_ii and rec.cond_iii
+        sufficiency = np.zeros_like(cond_i)
+        sufficiency.ravel()[fits] = holds[inverse]
+        sufficiency &= ~reachable
+        necessity_ok &= not necessity.any()
+        sufficiency_ok &= not sufficiency.any()
+        for a, b in np.argwhere(necessity | sufficiency).tolist():
+            if necessity[a, b]:
+                failures.append(f"pair ({start + a},{b}): reachable but T has negatives")
+            else:
                 failures.append(
-                    f"pair ({a},{b}): conditions (i)-(iii) hold but BFS finds no path"
+                    f"pair ({start + a},{b}): conditions (i)-(iii) hold but BFS finds no path"
                 )
-            rec.pairs += 1
-            rec.reachable_pairs += int(reachable)
     total_pairs = n * (n - 1)
     return ReachabilityReport(
         total_pairs, necessity_ok, sufficiency_ok, failures, list(groups.values())
@@ -518,13 +589,11 @@ def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
 def build_graph_dag(graphs: Sequence[Graph]) -> MatrixClassDAG:
     """Directed switch graph on a whole degree class: the arcs are the
     symmetric switches, and ``matrices`` are the class's graphs."""
-
-    def switched(g: Graph, sw: Switch) -> bytes:
-        adj = g.writable_bits()
-        sym_switch_inplace(adj, sw, POSITIVE)
-        return adj.tobytes()
-
-    return _class_dag(list(graphs), lambda g: find_sym_checkerboards(g, NEGATIVE), switched)
+    gs = list(graphs)
+    bits = _stack(gs)
+    if (np.diff(bits.sum(axis=2), axis=1) > 0).any():
+        raise ValueError("graph operations expect degree-sorted vertices")
+    return _class_dag(gs, bits, lambda part: sym_board_coords(part, NEGATIVE), mirrored=True)
 
 
 @dataclass

@@ -21,7 +21,6 @@ T-grid cells are 1-based: cell (i, k) corresponds to the unitary switch
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +166,6 @@ def reconstruct_diff(T: TGrid, p: int, q: int) -> DiffMatrix:
 
 Cell = tuple[int, int]
 
-_ORTHO = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 
 @dataclass(frozen=True)
 class PolyominoLevel:
@@ -189,24 +186,60 @@ class PolyominoLevel:
         return all(h == 0 for h in self.holes)
 
 
+# Cell sets as bitboards: a Python int with bit r * width + c for the cell
+# in row r, column c of a box, where each row has one more bit than the box
+# is wide.  That guard bit is never set, so a shift by one column cannot
+# carry a cell into the next row, and a shift by ``width`` moves one row.
+
+
+def _fill(seed: int, region: int, width: int) -> int:
+    """The cells of ``region`` 4-connected to the cells of ``seed``."""
+    while True:
+        grown = (seed | seed << 1 | seed >> 1 | seed << width | seed >> width) & region
+        if grown == seed:
+            return seed
+        seed = grown
+
+
+def _bitboard(cells, pad: int) -> tuple[int, int, int, int, int]:
+    """(board, width, rows, top row, left column) of ``cells`` in their
+    bounding box grown by ``pad`` on every side."""
+    top = min(r for r, _ in cells) - pad
+    left = min(c for _, c in cells) - pad
+    width = max(c for _, c in cells) - left + pad + 2
+    rows = max(r for r, _ in cells) - top + pad + 1
+    board = 0
+    for r, c in cells:
+        board |= 1 << ((r - top) * width + c - left)
+    return board, width, rows, top, left
+
+
+def _box(width: int, rows: int) -> int:
+    """Every cell of a bitboard with ``rows`` rows of ``width`` bits."""
+    ones_per_row = ((1 << rows * width) - 1) // ((1 << width) - 1)
+    return ones_per_row * ((1 << (width - 1)) - 1)
+
+
 def _components(cells: set[Cell]) -> list[frozenset[Cell]]:
-    remaining = set(cells)
+    """4-connected components of ``cells``, ordered by their smallest cell.
+
+    Each is a fill from the lowest remaining bit of the bitboard, which is
+    the smallest remaining cell.
+    """
+    if not cells:
+        return []
+    board, width, _, top, left = _bitboard(cells, 0)
     comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        remaining.remove(seed)
-        while queue:
-            r, c = queue.popleft()
-            for dr, dc in _ORTHO:
-                nxt = (r + dr, c + dc)
-                if nxt in remaining:
-                    remaining.remove(nxt)
-                    comp.add(nxt)
-                    queue.append(nxt)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
+    while board:
+        comp = _fill(board & -board, board, width)
+        board ^= comp
+        comps.append(
+            frozenset(
+                (idx // width + top, idx % width + left)
+                for idx, bit in enumerate(bin(comp)[:1:-1])
+                if bit == "1"
+            )
+        )
     return comps
 
 
@@ -217,14 +250,13 @@ def count_holes(component: frozenset[Cell]) -> int:
     4-connected regions; the border ring is connected and lies in exactly
     one of them, the outside, and every other region is a hole.
     """
-    rows = [r for r, _ in component]
-    cols = [c for _, c in component]
-    box = {
-        (r, c)
-        for r in range(min(rows) - 1, max(rows) + 2)
-        for c in range(min(cols) - 1, max(cols) + 2)
-    }
-    return len(_components(box - component)) - 1
+    board, width, rows, _, _ = _bitboard(component, 1)
+    rest = _box(width, rows) & ~board
+    regions = 0
+    while rest:
+        rest ^= _fill(rest & -rest, rest, width)
+        regions += 1
+    return regions - 1
 
 
 def _levels_of_values(values: np.ndarray) -> list[PolyominoLevel]:
@@ -258,26 +290,56 @@ def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, TGrid]:
 def conditions_from_T(values: np.ndarray) -> tuple[bool, bool, bool]:
     """Evaluate conditions (i), (ii), (iii) on a T grid given as an array.
 
-    (iii) is evaluated on interior grid cells only; the zero-extended
-    border does not participate.
+    (ii) uses the 4-connectivity of :func:`polyomino_levels` for the cells
+    and for the complement alike, and tests each component on its own: four
+    cells touching a fifth diagonally enclose it, yet no 4-component of
+    the four holes it.  It is decided by bitboard fills and stops at the
+    first hole.  (iii) is evaluated on interior grid cells only; the
+    zero-extended border does not participate.  This wraps
+    :func:`grid_conditions`, which does the same on a stack of grids.
     """
-    cond_i = bool((values >= 0).all())
-    cond_iii = _condition_iii(values)
-    cond_ii = all(
-        h == 0 for level in _levels_of_values(values) for h in level.holes
-    )
-    return cond_i, cond_ii, cond_iii
+    return tuple(bool(cond[0]) for cond in grid_conditions(values[None]))
 
 
-def _condition_iii(v: np.ndarray) -> bool:
-    if v.size == 0:
-        return True
-    return bool(
-        (np.abs(v[1:, :] - v[:-1, :]) <= 1).all()
-        and (np.abs(v[:, 1:] - v[:, :-1]) <= 1).all()
-        and (np.abs(v[1:, 1:] - v[:-1, :-1]) <= 1).all()
-        and (np.abs(v[1:, :-1] - v[:-1, 1:]) <= 1).all()
-    )
+def grid_conditions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditions (i), (ii), (iii) of every grid of an (N, r, c) stack, as
+    three boolean arrays of length N; see :func:`conditions_from_T`."""
+    cond_i = (values >= 0).all(axis=(-2, -1))
+    cond_ii = np.array([not _has_hole(grid) for grid in values], dtype=bool)
+    return cond_i, cond_ii, _condition_iii(values)
+
+
+def _has_hole(values: np.ndarray) -> bool:
+    """True when a component of some level set of ``values`` has a hole.
+
+    Each level set is a bitboard of the grid padded by one cell on every
+    side, so the padding ring lies outside every component: a component
+    has a hole exactly when the fill of its complement from that ring
+    misses a cell.
+    """
+    top = int(values.max()) if values.size else 0
+    rows, cols = values.shape
+    padded = np.zeros((rows + 2, cols + 3), dtype=bool)  # the last column is the guard
+    width = cols + 3
+    box = _box(width, rows + 2)
+    for lvl in range(1, top + 1):
+        padded[1:-1, 1:-2] = values >= lvl
+        rest = int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+        while rest:
+            comp = _fill(rest & -rest, rest, width)
+            rest ^= comp
+            if _fill(1, box & ~comp, width) | comp != box:
+                return True
+    return False
+
+
+def _condition_iii(v: np.ndarray):
+    """Condition (iii) per grid of a (..., r, c) stack."""
+    ok = (np.abs(v[..., 1:, :] - v[..., :-1, :]) <= 1).all(axis=(-2, -1))
+    ok &= (np.abs(v[..., :, 1:] - v[..., :, :-1]) <= 1).all(axis=(-2, -1))
+    ok &= (np.abs(v[..., 1:, 1:] - v[..., :-1, :-1]) <= 1).all(axis=(-2, -1))
+    ok &= (np.abs(v[..., 1:, :-1] - v[..., :-1, 1:]) <= 1).all(axis=(-2, -1))
+    return ok
 
 
 # ---------------------------------------------------------------------------

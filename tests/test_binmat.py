@@ -195,6 +195,33 @@ class TestBoardCoords:
         with pytest.raises(ValueError):
             binmat.board_coords(np.eye(2, dtype=np.int8), "neutral")
 
+    @pytest.mark.parametrize("pairs_per_block", [None, 1, 3, 7, 14])
+    def test_stack_matches_each_member(self, monkeypatch, pairs_per_block):
+        # blocks of 1 or 3 (member, row) pairs split each 5-row member, 7
+        # hold one member and 14 two; None is the default
+        rng = np.random.default_rng(47)
+        p, q = 5, 4
+        if pairs_per_block is not None:
+            monkeypatch.setattr(binmat, "_BLOCK_CELLS", pairs_per_block * p * q * q)
+        stack = np.stack([random_binary(rng, p, q, float(rng.uniform(0.2, 0.8))).bits
+                          for _ in range(9)])
+        for sign in (POSITIVE, NEGATIVE):
+            want = [[m, *coord] for m, bits in enumerate(stack)
+                    for coord in board_coords_brute(bits, sign)]
+            got = binmat.board_coords(stack, sign)
+            assert got.shape == (len(want), 5)
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 3), (4, 6)])
+    def test_stack_shapes(self, p, q):
+        rng = np.random.default_rng(53)
+        for size in (0, 1, 4):
+            stack = (rng.random((size, p, q)) < 0.5).astype(np.int8)
+            for sign in (POSITIVE, NEGATIVE):
+                want = [[m, *c] for m, bits in enumerate(stack) for c in board_coords_brute(bits, sign)]
+                got = binmat.board_coords(stack, sign)
+                assert got.shape == (len(want), 5) and got.tolist() == want
+
 
 class TestApplySwitch:
     def test_positive_on_negative_board(self):
@@ -285,6 +312,16 @@ class TestPotential:
             sw = boards[int(rng.integers(len(boards)))].coord
             out = apply_switch(A, sw, POSITIVE)
             assert potential(out) - potential(A) == (sw.j - sw.i) * (sw.l - sw.k) > 0
+
+
+    def test_potentials_of_a_stack(self):
+        rng = np.random.default_rng(9)
+        for p, q in ((1, 1), (1, 4), (4, 1), (3, 5)):
+            stack = (rng.random((6, p, q)) < 0.5).astype(np.int8)
+            got = binmat.potentials(stack)
+            assert got.tolist() == [potential(BinaryMatrix(bits)) for bits in stack]
+            assert binmat.potentials(stack.reshape(2, 3, p, q)).tolist() == (
+                got.reshape(2, 3).tolist())
 
 
 class TestComplementReflect:
@@ -513,6 +550,20 @@ class TestClassifyReference:
         for p, q in ((1, 4), (4, 1), (2, 4), (4, 2), (3, 4), (4, 3)):
             for bits in all_matrices(p, q):
                 assert_matches_reference(bits)
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 4) for q in range(1, 4)]
+                             + [(1, 6), (6, 1)])
+    def test_class_flags_of_a_stack(self, p, q):
+        # every p x q matrix in one stack, then each one alone
+        stack = np.array(list(all_matrices(p, q)), dtype=np.int8)
+        flags = binmat.class_flags(stack)
+        for m, bits in enumerate(stack):
+            want = classify(BinaryMatrix(bits)).flags()
+            del want["none"]
+            assert {name: bool(flag[m]) for name, flag in flags.items()} == want, bits
+            assert want == {k: v for k, v in ref_flags(bits).items() if k != "none"}, bits
+            single = binmat.class_flags(bits[None])
+            assert {name: bool(flag[0]) for name, flag in single.items()} == want, bits
 
     def test_seeded_sample_up_to_8x8(self):
         rng = np.random.default_rng(2024)

@@ -93,6 +93,15 @@ class TestGraphType:
         assert g.n == 4 and g.m == 6
         assert (g.degrees == 3).all()
 
+    def test_column_sums_are_the_row_sums(self):
+        built = Graph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        wrapped = Graph._wrap(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8))
+        for g in (built, wrapped):
+            assert g.col_sums is g.row_sums
+            assert g.col_sums.tolist() == g.bits.sum(axis=0).tolist()
+            with pytest.raises(ValueError):
+                g.col_sums[0] = 5
+
 
 # (n, p, seed) of sorted ER graphs whose margin classes stay small enough to
 # build in full, one larger graph, and the edgeless 3-vertex graph (None)

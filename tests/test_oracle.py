@@ -5,8 +5,8 @@ import pytest
 
 from switchgraph import binmat, oracle, reach
 from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
-from switchgraph.errors import MarginSumMismatch, NonGraphical
-from switchgraph.graph import dense_spectral_radius
+from switchgraph.errors import InternalInvariantViolation, MarginSumMismatch, NonGraphical
+from switchgraph.graph import Graph, dense_spectral_radius, find_sym_checkerboards, sym_switch_inplace
 
 from conftest import BLOCK_A, BLOCK_B, RING_A, RING_B
 
@@ -90,6 +90,60 @@ class TestBuildDag:
             assert (v in dag.sources) == (not pos)
 
 
+class TestArcDestinations:
+    """The stacked arc builder against one switched copy per arc."""
+
+    @pytest.mark.parametrize(
+        "R,C",
+        [((1, 1), (1, 1)), ((2, 2, 2, 2), (2, 2, 2, 2)), ((3, 2, 1), (2, 2, 2)),
+         ((1, 3, 3, 1), (3, 1, 1, 3)), ((2, 1, 2), (1, 1, 1, 2)), ((3, 1, 2, 1), (2, 3, 2))],
+    )
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_margin_class(self, R, C, chunk, monkeypatch):
+        # chunk: members per chunk of the arc builder (None: the default)
+        if chunk is not None:
+            monkeypatch.setattr(binmat, "_BLOCK_CELLS", chunk * 16 * (len(R) * len(C)) ** 2)
+        mats = oracle.enumerate_margins(R, C)
+        dag = oracle.build_dag(mats)
+        for v, mat in enumerate(mats):
+            boards = [cb.coord for cb in binmat.find_checkerboards(mat, NEGATIVE)]
+            assert [sw for _, sw in dag.arcs[v]] == boards
+            for dest, sw in dag.arcs[v]:
+                assert type(dest) is int and all(type(x) is int for x in sw)
+                assert binmat.apply_switch(mat, sw, POSITIVE) == mats[dest]
+        assert dag.sources == [v for v, m in enumerate(mats)
+                               if not binmat.find_checkerboards(m, POSITIVE)]
+
+    @pytest.mark.parametrize("D", [(2, 2, 2, 2), (3, 2, 2, 2, 1), (3, 3, 2, 2, 2), (3, 3, 2, 2, 1, 1),
+                                   (4, 3, 3, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_degree_class(self, D, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(binmat, "_BLOCK_CELLS", chunk * 16 * len(D) ** 4)
+        graphs = oracle.enumerate_degree_class(list(D))
+        dag = oracle.build_graph_dag(graphs)
+        for v, g in enumerate(graphs):
+            assert [sw for _, sw in dag.arcs[v]] == find_sym_checkerboards(g, NEGATIVE)
+            for dest, sw in dag.arcs[v]:
+                adj = g.writable_bits()
+                sym_switch_inplace(adj, sw, POSITIVE)
+                assert (adj == graphs[dest].adj).all()
+        assert dag.sources == [v for v, g in enumerate(graphs)
+                               if not find_sym_checkerboards(g, POSITIVE)]
+
+    def test_member_outside_the_class_is_an_invariant_violation(self):
+        mats = oracle.enumerate_margins((1, 1), (1, 1))
+        anti = next(m for m in mats if binmat.find_checkerboards(m, NEGATIVE))
+        with pytest.raises(InternalInvariantViolation):
+            oracle.build_dag([anti])
+
+    def test_unsorted_degree_class_raises(self):
+        graphs = oracle.enumerate_degree_class([2, 1, 1])
+        flipped = [Graph(g.adj[::-1, ::-1]) for g in graphs]
+        with pytest.raises(ValueError):
+            oracle.build_graph_dag(flipped)
+
+
 class TestVerifyDagStructure:
     @pytest.mark.parametrize(
         "R,C",
@@ -163,6 +217,85 @@ class TestVerifyReachability:
                 assert (path is not None) == bool(closure[a] >> b & 1)
                 if path is not None and a != b:
                     assert reach.validate_path(ma, mb, path)
+
+
+def reference_reachability(dag):
+    """The pair loop over a, then b, with T from ``compute_T`` per pair."""
+    mats = dag.matrices
+    closure = oracle.reachability_closure(dag)
+    failures, groups = [], {}
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            if a == b:
+                continue
+            t_vals = reach.compute_T(reach.diff(ma, mb)).values
+            reachable = bool(closure[a] >> b & 1)
+            if not (t_vals >= 0).all():
+                if reachable:
+                    failures.append(f"pair ({a},{b}): reachable but T has negatives")
+                continue
+            key = t_vals.tobytes()
+            if key not in groups:
+                _, cii, ciii = reach.conditions_from_T(t_vals)
+                groups[key] = [key, cii, ciii, 0, 0, (a, b)]
+            rec = groups[key]
+            if rec[1] and rec[2] and not reachable:
+                failures.append(f"pair ({a},{b}): conditions (i)-(iii) hold but BFS finds no path")
+            rec[3] += 1
+            rec[4] += reachable
+    return failures, list(groups.values())
+
+
+def report_records(rep):
+    return [[r.diff_key, r.cond_ii, r.cond_iii, r.pairs, r.reachable_pairs, r.example_pair]
+            for r in rep.conjecture]
+
+
+class TestPairScan:
+    """``verify_reachability`` against the per-pair reference loop."""
+
+    @pytest.mark.parametrize(
+        "R,C", [((2, 1, 1), (1, 1, 2)), ((1, 3, 3, 1), (3, 1, 1, 3)), ((2, 2, 2, 2), (2, 2, 2, 2))]
+    )
+    def test_matches_reference(self, R, C, monkeypatch):
+        dag = oracle.build_dag(oracle.enumerate_margins(R, C))
+        failures, records = reference_reachability(dag)
+        for block_cells in (None, 1, 100):  # default, one row a per block, a few rows
+            if block_cells is not None:
+                monkeypatch.setattr(binmat, "_BLOCK_CELLS", block_cells)
+            rep = oracle.verify_reachability(dag)
+            assert rep.failures == failures == []
+            assert report_records(rep) == records
+            assert rep.pairs == len(dag.matrices) * (len(dag.matrices) - 1)
+
+    def test_both_failure_kinds_in_pair_order(self, monkeypatch):
+        # reverse the first arc u -> v that is the only path from u to v:
+        # members that reached v only through it no longer do (sufficiency
+        # fails), and v now reaches u, whose T has negatives (necessity
+        # fails); the DAG stays acyclic
+        dag = oracle.build_dag(oracle.enumerate_margins((1, 1, 1, 1), (1, 1, 1, 1)))
+        reversed_arc = None
+        for u, out in enumerate(dag.arcs):
+            for pos, (v, sw) in enumerate(out):
+                del out[pos]
+                if not oracle.reachability_closure(dag)[u] >> v & 1:
+                    reversed_arc = (v, (u, sw))
+                    break
+                out.insert(pos, (v, sw))
+            if reversed_arc:
+                break
+        v, arc = reversed_arc
+        dag.arcs[v].append(arc)
+        failures, records = reference_reachability(dag)
+        kinds = [text.endswith("negatives") for text in failures]
+        assert sum(a != b for a, b in zip(kinds, kinds[1:])) >= 2  # interleaved
+        for block_cells in (None, 1, 100):
+            if block_cells is not None:
+                monkeypatch.setattr(binmat, "_BLOCK_CELLS", block_cells)
+            rep = oracle.verify_reachability(dag)
+            assert rep.failures == failures
+            assert report_records(rep) == records
+            assert not rep.necessity_ok and not rep.sufficiency_ok
 
 
 class TestComplementDuality:

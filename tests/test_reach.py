@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -65,6 +66,38 @@ def flood_fill_holes(component):
                 holes += 1
                 seen |= flood((r, c), component | seen)
     return holes
+
+
+def reference_components(cells):
+    """4-connected components by breadth-first search over a set of cells,
+    ordered by their smallest cell."""
+    remaining = set(cells)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        queue = deque([seed])
+        remaining.remove(seed)
+        while queue:
+            r, c = queue.popleft()
+            for dr, dc in _ORTHO:
+                nxt = (r + dr, c + dc)
+                if nxt in remaining:
+                    remaining.remove(nxt)
+                    comp.add(nxt)
+                    queue.append(nxt)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_condition_ii(values):
+    """Condition (ii) from explicit cell sets: no component of any level
+    set has a hole."""
+    for lvl in range(1, int(values.max()) + 1 if values.size else 1):
+        cells = {(int(r), int(c)) for r, c in np.argwhere(values >= lvl)}
+        if any(flood_fill_holes(comp) for comp in reference_components(cells)):
+            return False
+    return True
 
 
 def random_pair_by_switches(rng, p, q, max_steps, density=0.5):
@@ -239,6 +272,15 @@ class TestPolyominoLevels:
                 checked += 1
         assert checked > 300
 
+    def test_components_match_breadth_first_search(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            p, q = (int(x) for x in rng.integers(1, 10, size=2))
+            grid = rng.random((p, q)) < rng.uniform(0.2, 0.9)
+            # shifted so that cells sit at negative and positive coordinates
+            cells = {(int(r) - 3, int(c) + 2) for r, c in np.argwhere(grid)}
+            assert reach._components(cells) == reference_components(cells)
+
     def test_diagonal_adjacency_never_isolated(self):
         # valid differences never leave two diagonal cells without a shared
         # orthogonal neighbour in the same level set
@@ -268,6 +310,30 @@ class TestConditions:
         assert (ci, cii) == (True, False)
         ci, cii, ciii, _ = check_conditions(diff(*block_pair))
         assert (ci, cii, ciii) == (True, True, False)
+
+    def test_condition_ii_matches_reference_on_every_3x3_grid(self):
+        for flat in itertools.product(range(3), repeat=9):
+            values = np.array(flat, dtype=np.int64).reshape(3, 3)
+            assert reach.conditions_from_T(values)[1] == reference_condition_ii(values), values
+
+    def test_condition_ii_matches_reference_on_random_grids(self):
+        rng = np.random.default_rng(37)
+        holes = 0
+        for _ in range(1500):
+            p, q = (int(x) for x in rng.integers(1, 10, size=2))
+            values = rng.integers(-1, int(rng.integers(1, 5)), size=(p, q))
+            want = reference_condition_ii(values)
+            assert reach.conditions_from_T(values)[1] == want, values
+            holes += not want
+        assert 100 < holes < 1400
+
+    def test_diamond_encloses_no_hole(self):
+        # four cells around a fifth touch only diagonally: no 4-component
+        # of the level set encloses the centre
+        values = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
+        assert reach.conditions_from_T(values)[1]
+        ring = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.int64)
+        assert not reach.conditions_from_T(ring)[1]
 
     def test_condition_iii_diagonals_count(self):
         vals = np.array([[0, 1], [1, 1]], dtype=np.int64)

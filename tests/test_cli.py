@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -375,3 +376,135 @@ class TestParserReuse:
         fresh = [run_cli(capsys, *argv) for argv in calls]
         assert reused == fresh
         assert [code for code, _, _ in reused] == [64, 0, 0, 2, 64]
+
+
+def _write_config_inputs(d):
+    (d / "m.txt").write_text("1 1\n1 1\n")
+    (d / "nosplit.txt").write_text("1 3 3 1\n3 1 1 3\n")
+    (d / "empty-class.txt").write_text("2 0\n2 0\n")
+    (d / "big.txt").write_text("2 2 2 2\n2 2 2 2\n")
+    write(d, "k4.mat", K4)
+    write(d, "diag.mat", [[1, 0], [0, 1]])
+    write(d, "a.mat", PAIR_3X3_A)
+    write(d, "b.mat", PAIR_3X3_B)
+
+
+OPTIMIZE_DEFAULTS = {
+    "input": None, "gen": None, "n": 100, "p": 0.2, "side": 10, "rewire": 0.1,
+    "budget": 100000, "lambda_every": 25, "seed": 0,
+    "out_csv": None, "out_initial": None, "out_final": None,
+}
+
+# (argv, config) per report; "{d}" stands for the directory of the inputs
+CONFIG_CASES = {
+    "gen-er": (
+        ("gen", "er", "--n", "6", "--p", "0.5", "--out", "{d}/er.mat"),
+        {"kind": "er", "n": 6, "p": 0.5, "seed": 0, "out": "{d}/er.mat"},
+    ),
+    "gen-grid": (
+        ("gen", "grid", "--side", "3", "--seed", "4", "--out", "{d}/grid.mat"),
+        {"kind": "grid", "side": 3, "rewire": 0.0, "seed": 4, "out": "{d}/grid.mat"},
+    ),
+    "gen-zebra": (
+        ("gen", "zebra", "--margins", "{d}/m.txt", "--out", "{d}/z.mat"),
+        {"kind": "zebra", "margins": "{d}/m.txt", "out": "{d}/z.mat", "R": [1, 1], "C": [1, 1]},
+    ),
+    "gen-zebra-infeasible": (
+        ("gen", "zebra", "--margins", "{d}/nosplit.txt", "--out", "{d}/z.mat"),
+        {
+            "kind": "zebra", "margins": "{d}/nosplit.txt", "out": "{d}/z.mat",
+            "R": [1, 3, 3, 1], "C": [3, 1, 1, 3],
+        },
+    ),
+    "analyze": (
+        ("analyze", "{d}/k4.mat", "--tol", "1e-8"),
+        {"input": "{d}/k4.mat", "tol": 1e-8, "max_iter": 100000},
+    ),
+    "analyze-non-adjacency": (
+        ("analyze", "{d}/diag.mat", "--max-iter", "50"),
+        {"input": "{d}/diag.mat", "tol": 1e-10, "max_iter": 50},
+    ),
+    "reach": (
+        ("reach", "{d}/a.mat", "{d}/b.mat", "--bfs-cap", "7"),
+        {"a": "{d}/a.mat", "b": "{d}/b.mat", "bfs_cap": 7},
+    ),
+    "optimize-er": (
+        ("optimize", "--gen", "er", "--n", "8", "--budget", "20", "--out-csv", "{d}/t.csv"),
+        {**OPTIMIZE_DEFAULTS, "gen": "er", "n": 8, "budget": 20, "out_csv": "{d}/t.csv"},
+    ),
+    "optimize-grid": (
+        ("optimize", "--gen", "grid", "--side", "3", "--rewire", "0.5", "--seed", "2"),
+        {**OPTIMIZE_DEFAULTS, "gen": "grid", "side": 3, "rewire": 0.5, "seed": 2},
+    ),
+    "optimize-input": (
+        ("optimize", "--input", "{d}/k4.mat", "--lambda-every", "0", "--out-final", "{d}/f.mat"),
+        {**OPTIMIZE_DEFAULTS, "input": "{d}/k4.mat", "lambda_every": 0, "out_final": "{d}/f.mat"},
+    ),
+    "enumerate-margins": (
+        ("enumerate", "--margins", "{d}/m.txt"),
+        {"margins": "{d}/m.txt", "max_states": 1000000, "R": [1, 1], "C": [1, 1]},
+    ),
+    "enumerate-margins-infeasible": (
+        ("enumerate", "--margins", "{d}/empty-class.txt"),
+        {"margins": "{d}/empty-class.txt", "max_states": 1000000, "R": [2, 0], "C": [2, 0]},
+    ),
+    "enumerate-margins-cap": (
+        ("enumerate", "--margins", "{d}/big.txt", "--max-states", "10"),
+        {"margins": "{d}/big.txt", "max_states": 10, "R": [2] * 4, "C": [2] * 4},
+    ),
+    "enumerate-degrees": (
+        ("enumerate", "--degrees", "1,2,2,1"),
+        {"degrees": "1,2,2,1", "max_states": 1000000, "D": [2, 2, 1, 1]},
+    ),
+    "enumerate-degrees-nongraphical": (
+        ("enumerate", "--degrees", "3,1", "--max-states", "5"),
+        {"degrees": "3,1", "max_states": 5, "D": [3, 1]},
+    ),
+    "scan-conjecture": (
+        ("scan-conjecture", "--trials", "3", "--max-dim", "3", "--out", "{d}/scan.jsonl"),
+        {"trials": 3, "max_dim": 3, "max_entry": 3, "seed": 0, "out": "{d}/scan.jsonl"},
+    ),
+}
+
+
+def _option_dests(argv) -> set:
+    """The dests of every option on the chain of subparsers ``argv`` names,
+    without ``help``."""
+    parser, dests = cli._build_parser(), set()
+    for word in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            break
+        parser = subs[0].choices[word]
+        dests |= {a.dest for a in parser._actions if a.dest != "help"}
+    return dests
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize("argv, want", CONFIG_CASES.values(), ids=CONFIG_CASES)
+    def test_config_is_parsed_options(self, tmp_path, capsys, argv, want):
+        _write_config_inputs(tmp_path)
+
+        def fill(value):
+            return value.format(d=tmp_path) if isinstance(value, str) else value
+
+        code, payload, _ = run_json(capsys, *map(fill, argv))
+        assert payload["command"] == argv[0]
+        assert payload["config"] == {key: fill(value) for key, value in want.items()}
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            pytest.param(
+                *case,
+                id=name,
+                marks=pytest.mark.xfail(strict=True, reason="positional dest is 'matrix'")
+                if name.startswith("analyze") else (),
+            )
+            for name, case in CONFIG_CASES.items()
+        ],
+    )
+    def test_config_keys_are_option_dests(self, argv, want):
+        read = {"R", "C", "D"} & set(want)
+        unused = {"margins", "degrees"} - set(want) if argv[0] == "enumerate" else set()
+        assert set(want) == (_option_dests(argv) - unused) | read

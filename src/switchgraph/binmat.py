@@ -13,7 +13,7 @@ All coordinates in the public API are 1-based: a switch coordinate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -452,19 +452,7 @@ class MatrixClass:
         )
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "nested": self.nested,
-            "anti_nested": self.anti_nested,
-            "zebra": self.zebra,
-            "zebra_split_h": self.zebra_split_h,
-            "zebra_split_v": self.zebra_split_v,
-            "anti_zebra": self.anti_zebra,
-            "anti_zebra_split_h": self.anti_zebra_split_h,
-            "anti_zebra_split_v": self.anti_zebra_split_v,
-            "complement_of_split": self.complement_of_split,
-            "degenerate_split": self.degenerate_split,
-            "none": self.none,
-        }
+        return {**asdict(self), "none": self.none}
 
 
 def _zebra_split(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 One executable with subcommands gen / analyze / reach / path / optimize /
 enumerate / scan-conjecture.  Matrices travel in the bit-exact text
-format, reports as JSON (schema 1, resolved config echoed), trajectories
-as CSV.
+format, reports as JSON (schema 1), trajectories as CSV.  A report's
+config holds every option as parsed, plus R and C, or D, read from the
+inputs.
 
 Exit codes: 0 success or reachable, 1 domain-negative result (unreachable
 or infeasible), 2 unknown or degenerate, 64 usage error, 65 bad data,
@@ -53,12 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit()
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _report(command: str, config: dict, **body) -> dict:
-    return {"schema": SCHEMA, "command": command, "config": config, **body}
+def _emit(args, **body) -> None:
+    """Print the JSON report of ``args.command``.  Its config is every other
+    value on the namespace: the options as parsed, plus what the handler
+    read from the inputs and put there (R and C, or D)."""
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    report = {"schema": SCHEMA, "command": args.command, "config": config, **body}
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _load_matrix(path: str) -> BinaryMatrix:
@@ -104,49 +106,29 @@ def _load_margins(path: str) -> tuple[list[int], list[int]]:
 
 def _cmd_gen(args) -> int:
     if args.kind == "er":
-        config = {"kind": "er", "n": args.n, "p": args.p, "seed": args.seed, "out": args.out}
         mat = graph.gen_erdos_renyi(args.n, args.p, args.seed)
     elif args.kind == "grid":
-        config = {
-            "kind": "grid",
-            "side": args.side,
-            "rewire": args.rewire,
-            "seed": args.seed,
-            "out": args.out,
-        }
         mat = graph.gen_small_world(args.side, args.rewire, args.seed)
     else:
-        config = {"kind": "zebra", "margins": args.margins, "out": args.out}
-        R, C = _load_margins(args.margins)
-        config["R"], config["C"] = R, C
+        args.R, args.C = _load_margins(args.margins)
         try:
-            mat = graph.gen_split_zebra(R, C)
+            mat = graph.gen_split_zebra(args.R, args.C)
         except InfeasibleMargins as exc:
-            _emit(_report("gen", config, error=str(exc)))
+            _emit(args, error=str(exc))
             return EXIT_NEGATIVE
     binmat.write_matrix(mat, args.out)
-    _emit(
-        _report(
-            "gen",
-            config,
-            out=args.out,
-            p=mat.p,
-            q=mat.q,
-            ones=int(mat.bits.sum()),
-        )
-    )
+    _emit(args, out=args.out, p=mat.p, q=mat.q, ones=int(mat.bits.sum()))
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    config = {"input": args.matrix, "tol": args.tol, "max_iter": args.max_iter}
-    mat = _load_matrix(args.matrix)
+    mat = _load_matrix(args.input)
     cls = binmat.classify(mat)
     body: dict = {"class": cls.flags()}
     try:
         g = graph.Graph(mat.bits)
     except ValueError as exc:
-        _emit(_report("analyze", config, **body, error=f"not an adjacency matrix: {exc}"))
+        _emit(args, **body, error=f"not an adjacency matrix: {exc}")
         return EXIT_UNKNOWN
     sorted_g, perm = graph.sort_by_degree(g)
     rep = graph.spectral_radius(sorted_g, tol=args.tol, max_iter=args.max_iter)
@@ -172,7 +154,7 @@ def _cmd_analyze(args) -> int:
             "negative": graph.count_sym_checkerboards(sorted_g.adj, NEGATIVE),
         },
     )
-    _emit(_report("analyze", config, **body))
+    _emit(args, **body)
     return EXIT_OK
 
 
@@ -194,19 +176,15 @@ def _verdict_exit(verdict: reach.ReachVerdict) -> int:
 
 
 def _cmd_reach(args) -> int:
-    config = {"a": args.a, "b": args.b, "bfs_cap": args.bfs_cap}
     verdict = _reach_verdict(args)
     _emit(
-        _report(
-            "reach",
-            config,
-            status=verdict.status,
-            conditions=verdict.conditions(),
-            T=verdict.T.tolist(),
-            path=None if verdict.path is None else [list(sw) for sw in verdict.path],
-            path_length=verdict.path_length,
-            note=verdict.note,
-        )
+        args,
+        status=verdict.status,
+        conditions=verdict.conditions(),
+        T=verdict.T.tolist(),
+        path=None if verdict.path is None else [list(sw) for sw in verdict.path],
+        path_length=verdict.path_length,
+        note=verdict.note,
     )
     return _verdict_exit(verdict)
 
@@ -222,20 +200,6 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = {
-        "input": args.input,
-        "gen": args.gen,
-        "n": args.n,
-        "p": args.p,
-        "side": args.side,
-        "rewire": args.rewire,
-        "budget": args.budget,
-        "lambda_every": args.lambda_every,
-        "seed": args.seed,
-        "out_csv": args.out_csv,
-        "out_initial": args.out_initial,
-        "out_final": args.out_final,
-    }
     if args.input:
         mat = _load_matrix(args.input)
         try:
@@ -264,22 +228,19 @@ def _cmd_optimize(args) -> int:
         else None
     )
     _emit(
-        _report(
-            "optimize",
-            config,
-            steps=traj.length,
-            termination=traj.termination,
-            M2_initial=traj.M2_initial,
-            M2_final=traj.M2_final,
-            Z2_initial=traj.Z2_initial,
-            Z2_final=traj.Z2_final,
-            lambda1_initial=traj.lambda1_initial,
-            lambda1_final=traj.lambda1_final,
-            lambda1_relative_increase=rel,
-            mismatch_initial=optimize.structure_mismatch(traj.initial),
-            mismatch_final=optimize.structure_mismatch(traj.final),
-            stats=dataclasses.asdict(traj.stats),
-        )
+        args,
+        steps=traj.length,
+        termination=traj.termination,
+        M2_initial=traj.M2_initial,
+        M2_final=traj.M2_final,
+        Z2_initial=traj.Z2_initial,
+        Z2_final=traj.Z2_final,
+        lambda1_initial=traj.lambda1_initial,
+        lambda1_final=traj.lambda1_final,
+        lambda1_relative_increase=rel,
+        mismatch_initial=optimize.structure_mismatch(traj.initial),
+        mismatch_final=optimize.structure_mismatch(traj.final),
+        stats=dataclasses.asdict(traj.stats),
     )
     return EXIT_OK
 
@@ -287,86 +248,73 @@ def _cmd_optimize(args) -> int:
 def _cmd_enumerate(args) -> int:
     if (args.margins is None) == (args.degrees is None):
         raise _InputError("exactly one of --margins or --degrees is required", EXIT_DATA)
-    if args.margins:
-        config = {"margins": args.margins, "max_states": args.max_states}
-        R, C = _load_margins(args.margins)
-        config["R"], config["C"] = R, C
-        members = oracle.iter_margin_matrices(R, C)
+    by_margins = args.margins is not None
+    if by_margins:  # the report's config names only the mode given
+        del args.degrees
+        args.R, args.C = _load_margins(args.margins)
+        members = oracle.iter_margin_matrices(args.R, args.C)
     else:
-        config = {"degrees": args.degrees, "max_states": args.max_states}
+        del args.margins
         try:
-            D = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
+            args.D = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
         except ValueError as exc:
             raise _InputError(f"bad degree list: {exc}", EXIT_DATA) from exc
-        config["D"] = D
-        members = oracle.iter_degree_class(D)
+        members = oracle.iter_degree_class(args.D)
     try:
         members = list(itertools.islice(members, args.max_states + 1))
     except NonGraphical as exc:
-        _emit(_report("enumerate", config, error=str(exc)))
+        _emit(args, error=str(exc))
         return EXIT_NEGATIVE
     if len(members) > args.max_states:
-        _emit(_report("enumerate", config, error="class larger than --max-states"))
+        _emit(args, error="class larger than --max-states")
         return EXIT_UNKNOWN
-    if args.margins:
-        if not members:
-            _emit(_report("enumerate", config, count=0, error="infeasible margins"))
-            return EXIT_NEGATIVE
+    if not members:  # a graphical D always has a member
+        _emit(args, count=0, error="infeasible margins")
+        return EXIT_NEGATIVE
+    if by_margins:
         dag = oracle.build_dag(members)
         structure = oracle.verify_dag_structure(dag)
         reach_rep = oracle.verify_reachability(dag)
-        _emit(
-            _report(
-                "enumerate",
-                config,
-                count=len(members),
-                arcs=dag.arc_count,
-                sources=dag.sources,
-                sinks=dag.sinks,
-                checks={
-                    "acyclic": structure.acyclic,
-                    "connected": structure.connected,
-                    "potential_law": structure.potential_law,
-                    "unique_sink": structure.unique_sink,
-                    "unique_source": structure.unique_source,
-                    "singleton_nested": structure.singleton_nested,
-                    "necessity": reach_rep.necessity_ok,
-                    "sufficiency": reach_rep.sufficiency_ok,
-                },
-                failures=structure.failures + reach_rep.failures,
-            )
-        )
-        return EXIT_OK if structure.ok and reach_rep.ok else EXIT_NEGATIVE
-    dag = oracle.build_graph_dag(members)
-    spectral = oracle.verify_spectral_max_at_sink(dag)
+        checks = {
+            "acyclic": structure.acyclic,
+            "connected": structure.connected,
+            "potential_law": structure.potential_law,
+            "unique_sink": structure.unique_sink,
+            "unique_source": structure.unique_source,
+            "singleton_nested": structure.singleton_nested,
+            "necessity": reach_rep.necessity_ok,
+            "sufficiency": reach_rep.sufficiency_ok,
+        }
+        spectral_fields = {}
+        failures = structure.failures + reach_rep.failures
+        ok = structure.ok and reach_rep.ok
+    else:
+        dag = oracle.build_graph_dag(members)
+        spectral = oracle.verify_spectral_max_at_sink(dag)
+        checks = {
+            "max_at_sink": spectral.max_at_sink,
+            "eigenvector_order": spectral.eigenvector_order_ok,
+        }
+        spectral_fields = {
+            "max_lambda": spectral.max_lambda,
+            "max_lambda_at_sinks": spectral.max_lambda_at_sinks,
+        }
+        failures = spectral.failures
+        ok = spectral.ok
     _emit(
-        _report(
-            "enumerate",
-            config,
-            count=len(members),
-            arcs=dag.arc_count,
-            sources=dag.sources,
-            sinks=dag.sinks,
-            checks={
-                "max_at_sink": spectral.max_at_sink,
-                "eigenvector_order": spectral.eigenvector_order_ok,
-            },
-            max_lambda=spectral.max_lambda,
-            max_lambda_at_sinks=spectral.max_lambda_at_sinks,
-            failures=spectral.failures,
-        )
+        args,
+        count=len(members),
+        arcs=dag.arc_count,
+        sources=dag.sources,
+        sinks=dag.sinks,
+        checks=checks,
+        failures=failures,
+        **spectral_fields,
     )
-    return EXIT_OK if spectral.ok else EXIT_NEGATIVE
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_scan_conjecture(args) -> int:
-    config = {
-        "trials": args.trials,
-        "max_dim": args.max_dim,
-        "max_entry": args.max_entry,
-        "seed": args.seed,
-        "out": args.out,
-    }
     rng = np.random.default_rng(args.seed)
     scanned = 0
     diffs_seen = 0
@@ -418,13 +366,10 @@ def _cmd_scan_conjecture(args) -> int:
             for line in lines:
                 fh.write(line + "\n")
     _emit(
-        _report(
-            "scan-conjecture",
-            config,
-            classes_scanned=scanned,
-            differences_logged=diffs_seen,
-            counterexamples=counterexamples,
-        )
+        args,
+        classes_scanned=scanned,
+        differences_logged=diffs_seen,
+        counterexamples=counterexamples,
     )
     return EXIT_OK
 
@@ -473,7 +418,7 @@ def _build_parser() -> _Parser:
     g_zebra.add_argument("--out", required=True)
 
     analyze = sub.add_parser("analyze", help="JSON report for one matrix")
-    analyze.add_argument("matrix")
+    analyze.add_argument("input", metavar="matrix")
     analyze.add_argument("--tol", type=_ranged(float, 0.0), default=1e-10)
     analyze.add_argument("--max-iter", type=_COUNT, default=100000)
 

@@ -455,15 +455,21 @@ def gen_small_world(side: int, rewire_frac: float, seed: int) -> Graph:
 def gen_split_zebra(R, C) -> BinaryMatrix:
     """The split zebra (or split anti-zebra) with the given margins.
 
-    Constructive: realise the margins, then walk positive switches to the
+    Constructive: realise the margins, then walk positive switches to a
     sink of the switch order; by uniqueness the sink is the split zebra
-    whenever one exists.  Raises :class:`InfeasibleMargins` when the
-    margins are unrealisable or their class has no split member.
+    whenever one exists, and with no split member no sink is split, so the
+    walk order does not change the result.  Each pass lists the negative
+    boards once and switches, in order, every one still negative in the
+    running matrix.  Raises :class:`InfeasibleMargins` when the margins
+    are unrealisable or their class has no split member.
     """
     A = binmat.from_margins(R, C)
     bits = A.writable_bits()
     while (boards := binmat.board_coords(bits, NEGATIVE)).size:
-        binmat.switch_bits_inplace(bits, boards[0], POSITIVE)
+        for i, j, k, l in (boards - 1).tolist():
+            if bits[i, l] and bits[j, k] and not (bits[i, k] or bits[j, l]):
+                bits[i, k] = bits[j, l] = 1
+                bits[i, l] = bits[j, k] = 0
     result = BinaryMatrix(bits)
     cls = binmat.classify(result)
     if cls.is_split_zebra or cls.is_split_anti_zebra:

@@ -492,18 +492,7 @@ class TestReportConfig:
         assert payload["command"] == argv[0]
         assert payload["config"] == {key: fill(value) for key, value in want.items()}
 
-    @pytest.mark.parametrize(
-        "argv, want",
-        [
-            pytest.param(
-                *case,
-                id=name,
-                marks=pytest.mark.xfail(strict=True, reason="positional dest is 'matrix'")
-                if name.startswith("analyze") else (),
-            )
-            for name, case in CONFIG_CASES.items()
-        ],
-    )
+    @pytest.mark.parametrize("argv, want", CONFIG_CASES.values(), ids=CONFIG_CASES)
     def test_config_keys_are_option_dests(self, argv, want):
         read = {"R", "C", "D"} & set(want)
         unused = {"margins", "degrees"} - set(want) if argv[0] == "enumerate" else set()

@@ -516,10 +516,22 @@ class TestGenerators:
         # reference: from the greedy realisation, switch the first negative
         # board found by brute force until none is left
         rng = np.random.default_rng(37)
+        margins = []
         for _ in range(40):
             p, q = (int(x) for x in rng.integers(1, 7, size=2))
             A = BinaryMatrix((rng.random((p, q)) < 0.5).astype(np.int8))
-            R, C = binmat.row_col_sums(A)
+            margins.append(binmat.row_col_sums(A))
+        # larger classes with a split member: a nested top block over an
+        # anti-nested bottom block
+        for p in range(8, 13):
+            q = int(rng.integers(8, 13))
+            top = np.sort(rng.integers(0, q + 1, size=p // 2))[::-1]
+            bottom = np.sort(rng.integers(0, q + 1, size=p - p // 2))
+            cols = np.arange(q)
+            bits = np.vstack([cols < top[:, None], cols >= q - bottom[:, None]])
+            margins.append(binmat.row_col_sums(BinaryMatrix(bits.astype(np.int8))))
+        for R, C in margins:
+            p, q = len(R), len(C)
             bits = binmat.from_margins(R, C).writable_bits()
             while True:
                 first = next(

@@ -279,6 +279,10 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate")
         assert code == 65
 
+    def test_empty_margins_path_is_unreadable(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--margins", "")
+        assert code == 66 and out == "" and "cannot read" in err
+
 
 class TestScanConjecture:
     def test_smoke_and_append(self, tmp_path, capsys):

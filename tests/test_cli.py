@@ -492,7 +492,7 @@ class TestReportConfig:
         def fill(value):
             return value.format(d=tmp_path) if isinstance(value, str) else value
 
-        code, payload, _ = run_json(capsys, *map(fill, argv))
+        _, payload, _ = run_json(capsys, *map(fill, argv))
         assert payload["command"] == argv[0]
         assert payload["config"] == {key: fill(value) for key, value in want.items()}
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from switchgraph import optimize
+from switchgraph import optimize, oracle
 from switchgraph.binmat import NEGATIVE, BinaryMatrix
 from switchgraph.errors import InternalInvariantViolation
 from switchgraph.graph import (
@@ -35,6 +35,34 @@ def complete_graph(n):
 def sorted_er(n, p, seed):
     g, _ = sort_by_degree(gen_erdos_renyi(n, p, seed))
     return g
+
+
+class FixedPick:
+    """Stand-in generator whose every ``integers(total)`` draw is ``pick``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.totals = []
+
+    def integers(self, total):
+        self.totals.append(total)
+        return self.pick
+
+
+def reference_picks(g):
+    """The sampler's pick -> switch map, from the listed negative switches.
+
+    Each switch (i, j, k, l) is a board of row pair (i, j) at columns
+    (k, l) and of row pair (k, l) at columns (i, j).  Picks run over the
+    row pairs in row-major order, and within a pair by the second column,
+    then the first.
+    """
+    entries = []
+    for s in find_sym_checkerboards(g, NEGATIVE):
+        entries.append(((s.i, s.j), s.l, s.k, s))
+        entries.append(((s.k, s.l), s.j, s.i, s))
+    entries.sort(key=lambda e: e[:3])
+    return [e[3] for e in entries]
 
 
 class TestSampler:
@@ -77,6 +105,41 @@ class TestSampler:
         expect = draws / k
         sigma = math.sqrt(draws * (1 / k) * (1 - 1 / k))
         assert all(abs(c - expect) <= 5 * sigma for c in counts.values())
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            pytest.param(lambda D=D: oracle.enumerate_degree_class(list(D)), id=f"D={D}")
+            for D in ((2, 2, 2, 2, 2), (3, 2, 2, 2, 2, 1), (3, 3, 3, 2, 2, 1),
+                      (4, 3, 3, 2, 2, 2, 2), (3, 3, 3, 3, 2, 2, 2))
+        ]
+        + [
+            pytest.param(lambda n=n, p=p: [sorted_er(n, p, seed) for seed in range(3)],
+                         id=f"er-{n}-{p}")
+            for n, p in ((12, 0.3), (16, 0.5), (20, 0.7))
+        ],
+    )
+    def test_every_pick_matches_reference(self, graphs):
+        # one draw in range(total) decides the switch: walk every draw
+        checked = 0
+        for g in graphs():
+            adj = g.writable_bits()
+            counts = sym_board_pair_counts(adj, NEGATIVE)
+            ref = reference_picks(g)
+            picked = []
+            for pick in range(len(ref)):
+                rng = FixedPick(pick)
+                picked.append(sample_negative_checkerboard(adj, rng, counts))
+                assert rng.totals == [len(ref)]
+            assert picked == ref
+            assert set(Counter(picked).values()) <= {2}
+            assert sorted(set(picked)) == find_sym_checkerboards(g, NEGATIVE)
+            if not ref:
+                rng = FixedPick(0)
+                assert sample_negative_checkerboard(adj, rng, counts) is None
+                assert rng.totals == []
+            checked += len(ref)
+        assert checked > 0
 
     def test_tiny_graph(self):
         g = Graph(np.zeros((3, 3), dtype=int))
@@ -185,6 +248,7 @@ class TestRun:
         [
             (100, 0.2, 0, "6c9bcc2d7fba76e446c85c1779ca3bf83d98520239eec6f66f7b8f8733104037"),
             (60, 0.7, 1, "3e767ed5e3c69335252df0ca7e359c3b46fc7605955ff0aca3c73875b081ee19"),
+            (24, 0.5, 2, "559515970c681cea4c755e55aa7fb222c8ad30169c59ab04b6de69cd808328fa"),
         ],
     )
     def test_golden_trajectory(self, n, p, seed, digest):

@@ -116,9 +116,9 @@ class BinaryMatrix:
 
     def to_text(self) -> str:
         """Serialise to the matrix text format (bit-exact, LF endings)."""
-        lines = [f"{self.p} {self.q}"]
-        lines.extend("".join(str(int(b)) for b in row) for row in self.bits)
-        return "\n".join(lines) + "\n"
+        body = np.full((self.p, self.q + 1), ord("\n"), dtype=np.uint8)
+        np.add(self.bits, ord("0"), out=body[:, :-1], casting="unsafe")
+        return f"{self.p} {self.q}\n" + body.tobytes().decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

@@ -181,11 +181,10 @@ class NegativeBoardTable:
         before = np.cumsum(a, axis=1) - a
         self._a = a
         self._degrees = a.sum(axis=1)
-        # Q stacked on tril(A, -1); ``_left[b]`` = P_b(b), 1s left of the diagonal
+        self._left = before.diagonal().copy()  # P_b(b), 1s left of the diagonal
+        # Q stacked on tril(A, -1)
         self._q_lower = np.concatenate([a * before, np.tril(a, -1)])
         self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
-        self._left = before.diagonal().copy()
-        self._cols = np.arange(n)
         self._stack = np.empty((12, n))
 
     def switch(self, coord) -> None:
@@ -193,37 +192,60 @@ class NegativeBoardTable:
         ``counts`` up to date."""
         sym_switch_inplace(self.adj, coord, POSITIVE)
         i, j, k, l = (v - 1 for v in coord)
-        for x, y, v in ((i, k, 1), (j, l, 1), (i, l, 0), (j, k, 0)):
-            hi, lo = max(x, y), min(x, y)
-            self._a[x, y] = self._a[y, x] = self._lower[hi, lo] = v
-            self._left[hi] += 2 * v - 1
+        A, lower, left = self._a, self._lower, self._left
+        A[i, k] = A[k, i] = A[j, l] = A[l, j] = 1.0
+        A[i, l] = A[l, i] = A[j, k] = A[k, j] = 0.0
+        # tril(A, -1) and P_b(b) change in the later row
+        lower[max(i, k), min(i, k)] = lower[max(j, l), min(j, l)] = 1.0
+        lower[max(i, l), min(i, l)] = lower[max(j, k), min(j, k)] = 0.0
+        left[max(i, k)] += 1.0
+        left[max(j, l)] += 1.0
+        left[max(i, l)] -= 1.0
+        left[max(j, k)] -= 1.0
         rows = np.array((i, j, k, l))
-        a = self._a[rows]
-        through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
-        self._q[rows] = a * (through - 1)
-        deg_r, left_r = self._degrees[rows, None], self._left[rows, None]
-        deg_b, left_b = self._degrees, self._left
-        # axis 0: switched row r; axis 1: every row b
+        # axis 0: switched row r; axis 1: every row b.  The stack holds
+        # (1-a_r) o S_r, a_r, and a_r right of column r.
         stack = self._stack
-        np.multiply(1 - a, deg_r - through, out=stack[:4])
-        stack[4:8] = a
-        np.multiply(a, self._cols > rows[:, None], out=stack[8:])
-        by_a = stack @ self._a
+        a = A.take(rows, axis=0, out=stack[4:8])
+        stack[8:] = a
+        for row, r in enumerate((i, j, k, l), start=8):
+            stack[row, : r + 1] = 0.0
+        through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
+        deg_r = through[:, -1:]
+        self._q[rows] = a * (through - 1.0)
+        np.subtract(deg_r, through, out=stack[:4])
+        stack[:4] *= 1.0 - a
+        by_a = stack @ A
         by_q_lower = a @ self._q_lower.T
-        n = deg_b.size
-        # sum_k a_bk (1-a_rk) S_r(k) - sum_l a_rl Q_bl
-        mixed = by_a[:4] - by_q_lower[:, :n]
+        n = A.shape[0]
         common = by_a[4:8]
-        # common neighbours right of r plus those left of b
-        split = by_a[8:] + by_q_lower[:, n:]
-        pairs = common * (common - 1) * 0.5
-        # b > r: the pair is (r, b); b < r: the pair is (b, r)
-        r_first = mixed + pairs - a * (deg_r - left_r - 1 + left_b - split)
-        r_second = pairs - mixed + deg_r * deg_b - common * (deg_b + deg_r - 1)
-        r_second -= a * (left_r - 1 + deg_b - left_b - 2 * common + split)
-        for r, first, second in zip(rows.tolist(), r_first, r_second):
+        # C(common, 2) + sum_k a_bk (1-a_rk) S_r(k) - sum_l a_rl Q_bl
+        shared = common - 1.0
+        shared *= common
+        shared *= 0.5
+        shared += by_a[:4]
+        shared -= by_q_lower[:, :n]
+        # what multiplies a_rb in the pair (r, b): S_r(r) - 1 + P_b(b), less
+        # the common neighbours right of r and those left of b
+        a_factor = left - by_a[8:]
+        a_factor -= by_q_lower[:, n:]
+        a_factor += deg_r - 1.0 - left.take(rows)[:, None]
+        rest_r = deg_r - common
+        rest_b = self._degrees - common
+        # b < r: the pair is (b, r)
+        second = rest_r * rest_b
+        second -= shared
+        rest_r += rest_b
+        rest_r -= a_factor
+        rest_r -= 2.0
+        rest_r *= a
+        second -= rest_r
+        # b > r: the pair is (r, b)
+        a_factor *= a
+        shared -= a_factor
+        for r, first, below in zip((i, j, k, l), shared, second):
             self.counts[r, r + 1 :] = first[r + 1 :]
-            self.counts[:r, r] = second[:r]
+            self.counts[:r, r] = below[:r]
 
 
 def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:
@@ -252,13 +274,17 @@ def sym_switch_inplace(adj: np.ndarray, coord, direction: str) -> None:
             f"no {'negative' if direction == POSITIVE else 'positive'} "
             f"symmetric checkerboard at {tuple(sw)}"
         )
-    for a, b in ((i, k), (j, l), (i, l), (j, k)):
-        adj[a, b] = 1 - adj[a, b]
-        adj[b, a] = adj[a, b]
+    # the check read all four cells, so the toggle writes known values
+    new = 1 if direction == POSITIVE else 0
+    adj[i, k] = adj[k, i] = adj[j, l] = adj[l, j] = new
+    adj[i, l] = adj[l, i] = adj[j, k] = adj[k, j] = 1 - new
 
 
-def m2_switch_delta(degrees: np.ndarray, coord) -> int:
-    """Change of the second Zagreb index under a positive switch."""
+def m2_switch_delta(degrees, coord) -> int:
+    """Change of the second Zagreb index under a positive switch.
+
+    ``degrees`` is an array or a list; a list is faster in a loop.
+    """
     sw = binmat.as_switch(coord)
     d = degrees
     return int((d[sw.i - 1] - d[sw.j - 1]) * (d[sw.k - 1] - d[sw.l - 1]))

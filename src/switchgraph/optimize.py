@@ -108,43 +108,51 @@ class Trajectory:
         return len(self.steps)
 
 
-def _locate(weights: np.ndarray, pick: int) -> tuple[int, int]:
-    """Index whose slot of the cumulative ``weights`` holds ``pick``, and the
-    offset of ``pick`` inside that slot."""
-    ends = np.cumsum(weights)
-    idx = int(np.searchsorted(ends, pick, side="right"))
-    return idx, pick - (int(ends[idx - 1]) if idx else 0)
-
-
 def sample_negative_checkerboard(
     adj: np.ndarray, rng: np.random.Generator, counts: np.ndarray | None = None
 ) -> Switch | None:
     """Uniform negative symmetric checkerboard, or None at a sink.
 
     ``counts`` is the table ``sym_board_pair_counts(adj, NEGATIVE)``; it is
-    computed here when not given.  One draw picks uniformly among the
-    table's entries: first the row pair (i, j) by the cumulative sum over
-    cells, then the board (k, l) among that pair's, ordered by l and then
-    k.  Each symmetric switch appears under exactly two row pairs, so the
-    pick is uniform over switches.
+    computed here when not given.  One draw, ``rng.integers(total)`` over
+    the table's total, picks one of its entries, and no draw is made at a
+    sink.  Entries are ordered by row pair (i, j), row-major, and within a
+    pair by the board's second column l, then its first column k; the pick
+    is located by the cumulative sums of the row totals and of row i, and
+    (k, l) by one scan of rows i and j.  Each symmetric switch appears
+    under exactly two row pairs, (i, j) at columns (k, l) and (k, l) at
+    columns (i, j), so the pick is uniform over switches; the switch is
+    returned with its smaller row pair first.
     """
     if counts is None:
         counts = sym_board_pair_counts(adj, NEGATIVE)
-    row_totals = counts.sum(axis=1)
-    total = int(row_totals.sum())
+    ends = counts.sum(axis=1).cumsum()
+    total = int(ends[-1])
     if total == 0:
         return None
-    i, rest = _locate(row_totals, int(rng.integers(total)))
-    j, rest = _locate(counts[i], rest)
-    d = adj[i].astype(np.int16) - adj[j]
-    d[i] = d[j] = 0
-    first = d == -1
-    seconds = np.flatnonzero(d == 1)
-    # boards (k, l) with l = seconds[slot]: one per column k < l in ``first``
-    slot, rest = _locate(np.cumsum(first)[seconds], rest)
-    if slot >= seconds.size:
+    rest = int(rng.integers(total))
+    i = int(ends.searchsorted(rest, side="right"))
+    if i:
+        rest -= int(ends[i - 1])
+    ends = counts[i].cumsum()
+    j = int(ends.searchsorted(rest, side="right"))
+    if j:
+        rest -= int(ends[j - 1])
+    # columns k with a_ik = 0 < a_jk, met left to right; each column l with
+    # a_il = 1 > a_jl closes one board with every k seen so far
+    firsts: list[int] = []
+    for col, (x, y) in enumerate(zip(adj[i].tolist(), adj[j].tolist())):
+        if x == y or col == i or col == j:
+            continue
+        if x < y:
+            firsts.append(col)
+        elif rest < len(firsts):
+            k, l = firsts[rest], col
+            break
+        else:
+            rest -= len(firsts)
+    else:
         raise InternalInvariantViolation(f"row pair ({i}, {j}) holds fewer boards than counted")
-    k, l = int(np.flatnonzero(first)[rest]), int(seconds[slot])
     if (i, j) > (k, l):
         i, j, k, l = k, l, i, j
     return Switch(i + 1, j + 1, k + 1, l + 1)
@@ -167,7 +175,7 @@ def run(
         raise ValueError("run() expects a degree-sorted graph")
     rng = np.random.default_rng(seed)
     adj = G0.writable_bits()
-    degrees = G0.degrees.copy()
+    degrees = G0.degrees.tolist()
     m = G0.m
     _, m2_initial, _, z2_initial = zagreb(G0) if m else (0, 0, 0.0, None)
     m2 = m2_initial
@@ -259,11 +267,9 @@ def structure_mismatch(A: BinaryMatrix) -> dict[str, float]:
         if s == 0 or s == q:
             continue
         csum = np.concatenate([[0], np.cumsum(row, dtype=np.int64)])
-        # edge-anchored: prefix of length x plus suffix of length s - x
-        best_edge = 0
-        for x in range(s + 1):
-            overlap = int(csum[x]) + int(csum[q] - csum[q - (s - x)])
-            best_edge = max(best_edge, overlap)
+        # edge-anchored: prefix of length x plus suffix of length s - x,
+        # for x = 0..s
+        best_edge = int((csum[: s + 1] - csum[q - s :]).max() + csum[q])
         zebra_miss += 2 * (s - best_edge)
         # banded: a window of length s
         windows = csum[s:] - csum[: q - s + 1]

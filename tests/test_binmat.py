@@ -88,6 +88,15 @@ class TestTextFormat:
     def test_exact_bytes(self):
         assert BinaryMatrix([[1, 0], [0, 1]]).to_text() == "2 2\n10\n01\n"
 
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 9), (9, 1), (3, 5), (17, 4), (40, 33)])
+    def test_matches_per_bit_join(self, p, q):
+        rng = np.random.default_rng(p * 100 + q)
+        for A in (random_binary(rng, p, q), BinaryMatrix(np.zeros((p, q))),
+                  BinaryMatrix(np.ones((p, q)))):
+            lines = [f"{p} {q}"]
+            lines.extend("".join(str(int(b)) for b in row) for row in A.bits)
+            assert A.to_text() == "\n".join(lines) + "\n"
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

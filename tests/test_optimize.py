@@ -318,6 +318,33 @@ class TestStructureMismatch:
         assert scores["zebra"] == 0.0
         assert scores["anti_zebra"] > 0.0
 
+    def test_matches_per_offset_loop(self):
+        def reference(bits):
+            p, q = bits.shape
+            zebra_miss = band_miss = 0
+            for row in bits:
+                s = int(row.sum())
+                if s == 0 or s == q:
+                    continue
+                csum = np.concatenate([[0], np.cumsum(row, dtype=np.int64)])
+                best_edge = 0
+                for x in range(s + 1):
+                    overlap = int(csum[x]) + int(csum[q] - csum[q - (s - x)])
+                    best_edge = max(best_edge, overlap)
+                zebra_miss += 2 * (s - best_edge)
+                windows = csum[s:] - csum[: q - s + 1]
+                band_miss += 2 * (s - int(windows.max()))
+            return {"zebra": zebra_miss / (p * q), "anti_zebra": band_miss / (p * q)}
+
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            p, q = (int(v) for v in rng.integers(1, 25, size=2))
+            bits = (rng.random((p, q)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+            bits[rng.random(p) < 0.15] = 0
+            bits[rng.random(p) < 0.15] = 1
+            A = BinaryMatrix(bits)
+            assert structure_mismatch(A) == reference(A.bits)
+
     def test_full_and_empty_rows_neutral(self):
         flat = BinaryMatrix([[1, 1, 1], [0, 0, 0]])
         scores = structure_mismatch(flat)

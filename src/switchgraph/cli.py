@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleMargins,
     MarginMismatch,
+    MarginSumMismatch,
     MatrixFormatError,
     NonGraphical,
     SwitchGraphError,
@@ -264,6 +265,9 @@ def _cmd_enumerate(args) -> int:
         members = list(itertools.islice(members, args.max_states + 1))
     except NonGraphical as exc:
         _emit(args, error=str(exc))
+        return EXIT_NEGATIVE
+    except MarginSumMismatch as exc:
+        _emit(args, count=0, error=str(exc))
         return EXIT_NEGATIVE
     if len(members) > args.max_states:
         _emit(args, error="class larger than --max-states")

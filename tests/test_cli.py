@@ -74,6 +74,22 @@ class TestGen:
         assert code == 1 and "error" in payload
 
 
+@pytest.mark.parametrize(
+    "argv", [("gen", "zebra", "--out", "{d}/z.mat"), ("enumerate",)], ids=["gen-zebra", "enumerate"]
+)
+def test_margin_totals_differ(tmp_path, capsys, argv):
+    # row sums 4, column sums 2: no matrix, a domain-negative answer on both
+    margins = tmp_path / "m.txt"
+    margins.write_text("2 2\n1 1\n")
+    argv = [arg.format(d=tmp_path) for arg in argv] + ["--margins", str(margins)]
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 1 and err == ""
+    assert "error" in payload
+    if argv[0] == "enumerate":
+        assert payload["count"] == 0
+        assert payload["error"] == "margin sums differ: 4 != 2"
+
+
 class TestAnalyze:
     def test_complete_graph(self, tmp_path, capsys):
         path = write(tmp_path, "k4.mat", K4)

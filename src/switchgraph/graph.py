@@ -171,6 +171,18 @@ class NegativeBoardTable:
     are three float64 n x n arrays (24 n^2 bytes), so the products run in
     BLAS; every value is an integer below n^3, which float64 holds exactly
     for n up to 2^17, far beyond any dense matrix that fits in memory.
+    For the same reason the update may group and order its float
+    arithmetic freely: every partial result is an exact integer, so the
+    table is equal, entry for entry, to a count from scratch.
+
+    Besides A, Q and tril(A, -1) the table keeps P_b(b), the 1s of each
+    row left of the diagonal (row b of tril(A, -1) summed), and the
+    degrees.  ``switch`` writes the eight changed entries of A, the four
+    of tril(A, -1) and the four changed P_b(b) as scalars, gathers the
+    four rows with ``take``, and fills the stack in place.  The pairs
+    (r, b) with r < b and (b, r) with b < r share C(c, 2) and the
+    product terms, so both halves come from one set of temporaries,
+    written back as one row segment and one column segment per row r.
     """
 
     def __init__(self, adj: np.ndarray):

@@ -27,6 +27,14 @@ empty table is the sink, confirmed by one more full count.
 
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
 fixed seed replays the trajectory byte for byte.
+
+A step does O(n) work plus two matrix products, (12 x n)(n x n) and
+(4 x n)(n x 2n), but at the sizes a dense table fits (n in the hundreds)
+its time is mostly the fixed cost of each numpy call on 4 x n arrays.
+So the sampler and the table update keep their call counts small: one
+``cumsum`` of the row totals, a Python scan of two rows, in-place
+arithmetic on shared temporaries, and scalar writes for the few helper
+entries a switch changes.
 """
 
 from __future__ import annotations

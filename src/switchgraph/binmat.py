@@ -39,8 +39,12 @@ class Checkerboard(NamedTuple):
 
 
 def as_switch(coord) -> Switch:
-    """Coerce a 4-sequence to a :class:`Switch`, validating the ordering."""
-    sw = Switch(*(int(x) for x in coord))
+    """Coerce a 4-sequence to a :class:`Switch`, validating the ordering.
+
+    A :class:`Switch` is returned as it is once the ordering holds; the
+    samplers and listers build theirs from plain ints.
+    """
+    sw = coord if type(coord) is Switch else Switch(*(int(x) for x in coord))
     if not (1 <= sw.i < sw.j and 1 <= sw.k < sw.l):
         raise InvalidSwitch(f"malformed switch coordinates {tuple(sw)}")
     return sw
@@ -139,12 +143,20 @@ class BinaryMatrix:
             raise MatrixFormatError(f"bad dimensions {p}x{q}")
         if len(lines) != p + 1:
             raise MatrixFormatError(f"expected {p} rows, found {len(lines) - 1}")
-        arr = np.empty((p, q), dtype=np.int8)
-        for r, line in enumerate(lines[1:]):
-            if len(line) != q or set(line) - {"0", "1"}:
-                raise MatrixFormatError(f"bad row {r + 1}: {line!r}")
-            arr[r] = [int(ch) for ch in line]
-        return cls(arr)
+        rows = lines[1:]
+        # the first bad row is the first one holding a bad cell among the
+        # leading rows of length q, else the first row of another length
+        wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=p) != q)
+        aligned = int(wrong[0]) if wrong.size else p
+        # one byte per character ("replace" writes "?" for a non-ASCII one);
+        # less "0" in uint8, only "0" and "1" read 1 or below
+        body = "".join(rows[:aligned]).encode("ascii", "replace")
+        cells = (np.frombuffer(body, dtype=np.uint8) - ord("0")).reshape(aligned, q)
+        bad = (cells > 1).any(axis=1)
+        if aligned < p or bad.any():
+            r = int(bad.argmax()) if bad.any() else aligned
+            raise MatrixFormatError(f"bad row {r + 1}: {rows[r]!r}")
+        return cls(cells.view(np.int8))
 
 
 def read_matrix(path) -> BinaryMatrix:
@@ -238,8 +250,18 @@ def find_checkerboards(A: BinaryMatrix, sign: str | None = None) -> list[Checker
     return found
 
 
-_NEG_PATTERN = np.array([[0, 1], [1, 0]], dtype=np.int8)
-_POS_PATTERN = np.array([[1, 0], [0, 1]], dtype=np.int8)
+def _is_board(bits: np.ndarray, sw: Switch, sign: str) -> bool:
+    """True when ``bits`` holds a ``sign`` checkerboard at the in-range
+    switch ``sw``, read as four scalars: a positive board has 1 at (i, k)
+    and (j, l) and 0 at (i, l) and (j, k), a negative board the reverse."""
+    i, j, k, l = sw.i - 1, sw.j - 1, sw.k - 1, sw.l - 1
+    main = 1 if sign == POSITIVE else 0
+    return (
+        bits[i, k] == main
+        and bits[j, l] == main
+        and bits[i, l] != main
+        and bits[j, k] != main
+    )
 
 
 def switch_bits_inplace(bits: np.ndarray, coord, direction: str) -> None:
@@ -252,18 +274,16 @@ def switch_bits_inplace(bits: np.ndarray, coord, direction: str) -> None:
     p, q = bits.shape
     if sw.j > p or sw.l > q:
         raise InvalidSwitch(f"switch {tuple(sw)} out of range for {p}x{q} matrix")
-    rows = (sw.i - 1, sw.j - 1)
-    cols = (sw.k - 1, sw.l - 1)
     if direction not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown direction {direction!r}")
-    sub = bits[np.ix_(rows, cols)]
-    want = _NEG_PATTERN if direction == POSITIVE else _POS_PATTERN
-    if not (sub == want).all():
-        raise InvalidSwitch(
-            f"no {'negative' if direction == POSITIVE else 'positive'} "
-            f"checkerboard at {tuple(sw)}"
-        )
-    bits[np.ix_(rows, cols)] = 1 - sub
+    # a positive switch needs a negative board and leaves a positive one
+    before = NEGATIVE if direction == POSITIVE else POSITIVE
+    if not _is_board(bits, sw, before):
+        raise InvalidSwitch(f"no {before} checkerboard at {tuple(sw)}")
+    i, j, k, l = sw.i - 1, sw.j - 1, sw.k - 1, sw.l - 1
+    main = 1 if direction == POSITIVE else 0
+    bits[i, k] = bits[j, l] = main
+    bits[i, l] = bits[j, k] = 1 - main
 
 
 def apply_switch(A: BinaryMatrix, coord, direction: str) -> BinaryMatrix:

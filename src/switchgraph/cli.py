@@ -18,7 +18,9 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -61,7 +63,59 @@ def _emit(args, **body) -> None:
     read from the inputs and put there (R and C, or D)."""
     config = {key: value for key, value in vars(args).items() if key != "command"}
     report = {"schema": SCHEMA, "command": args.command, "config": config, **body}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_render_json(report))
+
+
+def _json_atom(value) -> str:
+    """A scalar or an empty container, written as ``json`` writes it."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[]"
+    if isinstance(value, dict):
+        return "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, built with one join
+    per dict or list.
+
+    With ``indent`` set, Python 3.10 and 3.11 skip the C encoder and yield
+    every token through a Python generator, and a report's T grid has up
+    to 529 entries; here a list of plain ints is written in one ``map``.
+    Dict keys must be strings, as every report's are.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        parts = [
+            f"{_json_str(key)}: {_render_json(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:
+            parts = map(int.__repr__, value)
+        else:
+            parts = [_render_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    return _json_atom(value)
 
 
 def _load_matrix(path: str) -> BinaryMatrix:

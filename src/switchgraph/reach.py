@@ -133,7 +133,7 @@ class TGrid:
         return int(self.values.sum()) if self.values.size else 0
 
     def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.values]
+        return self.values.tolist()
 
 
 def compute_T(M: DiffMatrix) -> TGrid:
@@ -557,20 +557,16 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
         comp = _components(cells)[0]
         rect, _kind = find_motif_cells(comp)
         sw = rect_to_switch(rect)
-        rows = (sw.i - 1, sw.j - 1)
-        cols = (sw.k - 1, sw.l - 1)
-        sub_a = cur_a[np.ix_(rows, cols)]
-        if (sub_a == binmat._NEG_PATTERN).all():
+        if binmat._is_board(cur_a, sw, NEGATIVE):
             binmat.switch_bits_inplace(cur_a, sw, POSITIVE)
             prefix.append(sw)
-        else:
-            sub_b = cur_b[np.ix_(rows, cols)]
-            if not (sub_b == binmat._POS_PATTERN).all():
-                raise InternalInvariantViolation(
-                    f"motif rectangle {rect} carries no usable checkerboard"
-                )
+        elif binmat._is_board(cur_b, sw, POSITIVE):
             binmat.switch_bits_inplace(cur_b, sw, NEGATIVE)
             suffix.append(sw)
+        else:
+            raise InternalInvariantViolation(
+                f"motif rectangle {rect} carries no usable checkerboard"
+            )
         t[rect[0] - 1 : rect[1], rect[2] - 1 : rect[3]] -= 1
         if (t < 0).any():
             raise InternalInvariantViolation("T went negative during cropping")

@@ -23,6 +23,7 @@ from switchgraph.binmat import (
     unitary_decomposition,
 )
 from switchgraph.errors import InfeasibleMargins, InvalidSwitch, MatrixFormatError
+from switchgraph.graph import Graph
 
 from conftest import (
     ANTI_BANDED,
@@ -124,6 +125,117 @@ class TestTextFormat:
         path = tmp_path / "m.mat"
         binmat.write_matrix(A, path)
         assert binmat.read_matrix(path) == A
+
+
+def from_text_per_row(text):
+    """The per-row parser that ``BinaryMatrix.from_text`` replaced: one
+    ``int`` per cell.  Returns the int8 array."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MatrixFormatError("empty input")
+    header = lines[0].split(" ")
+    if len(header) != 2:
+        raise MatrixFormatError(f"bad header line {lines[0]!r}")
+    try:
+        p, q = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise MatrixFormatError(f"bad header line {lines[0]!r}") from exc
+    if p < 1 or q < 1:
+        raise MatrixFormatError(f"bad dimensions {p}x{q}")
+    if len(lines) != p + 1:
+        raise MatrixFormatError(f"expected {p} rows, found {len(lines) - 1}")
+    arr = np.empty((p, q), dtype=np.int8)
+    for r, line in enumerate(lines[1:]):
+        if len(line) != q or set(line) - {"0", "1"}:
+            raise MatrixFormatError(f"bad row {r + 1}: {line!r}")
+        arr[r] = [int(ch) for ch in line]
+    return arr
+
+
+def parse_outcome(parse, text):
+    try:
+        return "ok", parse(text).tolist()
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+
+
+FROM_TEXT_CORPUS = [
+    # header errors
+    "", "\n", "\n\n", "2\n10\n01\n", "2 2 2\n10\n01\n", "a b\n10\n01\n",
+    "2  2\n10\n01\n", " 2 2\n10\n01\n", "2 x\n10\n01\n", "0 2\n", "2 0\n\n\n",
+    "-1 2\n", "2 -3\n10\n01\n",
+    # row count
+    "3 2\n10\n01\n", "2 2\n10\n01\n\n", "2 2\n10\n01\n11\n", "2 2\n10\n\n01\n", "1 1\n",
+    # short and long rows, bad cells
+    "2 2\n10\n0\n", "2 2\n1\n01\n", "2 2\n100\n01\n", "2 2\n10\n011\n",
+    "2 3\n1\n0110\n", "2 3\n1x1\n01\n", "3 3\n101\n01\n2\n", "3 3\n101\n012\n11\n",
+    "2 2\n10\n02\n", "2 2\n21\n01\n", "2 2\nx0\n01\n", "2 2\n10\n0x\n", "2 2\n10 \n01\n",
+    "2 2\n1/\n01\n", "2 2\n1:\n01\n", "2 2\n10\n01", "1 3\n\t01\n",
+    # CRLF endings: the header parses, the rows carry the carriage return
+    "2 2\r\n10\r\n01\r\n", "2 2\n10\r\n01\n", "2 2\r\n10\n01\n",
+    # non-ASCII cells
+    "2 2\n1\u00e9\n01\n", "2 2\n10\n\u0661\u0660\n", "2 2\n10\n\U0001f600\n",
+    "2 2\n\udcff0\n01\n", "\u0662 2\n10\n01\n",
+    # valid
+    "1 1\n0\n", "1 1\n1\n", "2 3\n101\n010\n", "3 1\n1\n0\n1", "+2 2\n10\n01\n",
+]
+
+
+class TestFromTextTwin:
+    """``BinaryMatrix.from_text`` against the per-row reference parser."""
+
+    @pytest.mark.parametrize("text", FROM_TEXT_CORPUS)
+    def test_corpus(self, text):
+        want = parse_outcome(from_text_per_row, text)
+        assert parse_outcome(lambda t: BinaryMatrix.from_text(t).bits, text) == want
+
+    def test_corpus_reaches_every_outcome(self):
+        prefixes = ("empty input", "bad header line", "bad dimensions", "expected", "bad row")
+        seen = {
+            "ok" if kind == "ok" else next(pre for pre in prefixes if value.startswith(pre))
+            for kind, value in (parse_outcome(from_text_per_row, t) for t in FROM_TEXT_CORPUS)
+        }
+        assert seen == {"ok", *prefixes}
+
+    def test_random_valid(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            p, q = (int(x) for x in rng.integers(1, 30, size=2))
+            text = random_binary(rng, p, q, float(rng.uniform(0, 1))).to_text()
+            got = BinaryMatrix.from_text(text)
+            assert got.bits.dtype == np.int8
+            assert got.bits.tolist() == from_text_per_row(text).tolist()
+
+    def test_random_corrupted(self):
+        # one cell replaced, one row cut or grown, or the final newline dropped
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            p, q = (int(x) for x in rng.integers(1, 8, size=2))
+            lines = random_binary(rng, p, q).to_text().split("\n")
+            r = int(rng.integers(1, p + 1))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                c = int(rng.integers(q))
+                ch = "2x \r\u00e9/"[int(rng.integers(6))]
+                lines[r] = lines[r][:c] + ch + lines[r][c + 1:]
+            elif kind == 1:
+                lines[r] = lines[r][: int(rng.integers(q))]
+            elif kind == 2:
+                lines[r] += "01"[int(rng.integers(2))]
+            else:
+                lines.pop()
+            text = "\n".join(lines)
+            want = parse_outcome(from_text_per_row, text)
+            assert parse_outcome(lambda t: BinaryMatrix.from_text(t).bits, text) == want
+
+    def test_graph_checks_still_run(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph.from_text("2 2\n01\n00\n")
+        with pytest.raises(ValueError, match="diagonal"):
+            Graph.from_text("2 2\n11\n10\n")
+        assert Graph.from_text("2 2\n01\n10\n").m == 1
 
 
 class TestCheckerboards:
@@ -264,6 +376,15 @@ class TestApplySwitch:
         with pytest.raises(InvalidSwitch):
             apply_switch(A, (1, 2, 1, 5), NEGATIVE)
 
+    def test_as_switch_keeps_a_switch(self):
+        sw = Switch(1, 3, 2, 4)
+        assert binmat.as_switch(sw) is sw
+        assert binmat.as_switch([1, 3, 2, 4]) == sw
+        assert binmat.as_switch(np.array([1, 3, 2, 4])) == sw
+        for bad in (Switch(2, 1, 1, 2), Switch(1, 2, 2, 2), Switch(0, 1, 1, 2)):
+            with pytest.raises(InvalidSwitch, match="malformed switch coordinates"):
+                binmat.as_switch(bad)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**30 - 1))
     def test_margins_invariant(self, seed):
@@ -276,6 +397,78 @@ class TestApplySwitch:
         direction = NEGATIVE if pick.sign == POSITIVE else POSITIVE
         out = apply_switch(A, pick.coord, direction)
         assert row_col_sums(out) == row_col_sums(A)
+
+
+def switch_bits_ix(bits, coord, direction):
+    """The ``np.ix_`` gather-and-write that ``switch_bits_inplace``
+    replaced, as the reference."""
+    sw = binmat.as_switch(coord)
+    p, q = bits.shape
+    if sw.j > p or sw.l > q:
+        raise InvalidSwitch(f"switch {tuple(sw)} out of range for {p}x{q} matrix")
+    rows = (sw.i - 1, sw.j - 1)
+    cols = (sw.k - 1, sw.l - 1)
+    if direction not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"unknown direction {direction!r}")
+    sub = bits[np.ix_(rows, cols)]
+    want = np.array([[0, 1], [1, 0]] if direction == POSITIVE else [[1, 0], [0, 1]])
+    if not (sub == want).all():
+        raise InvalidSwitch(
+            f"no {'negative' if direction == POSITIVE else 'positive'} "
+            f"checkerboard at {tuple(sw)}"
+        )
+    bits[np.ix_(rows, cols)] = 1 - sub
+
+
+def switch_outcome(switch, bits, coord, direction):
+    bits = bits.copy()
+    try:
+        switch(bits, coord, direction)
+    except (InvalidSwitch, ValueError) as exc:
+        return type(exc).__name__, str(exc), bits.tolist()
+    return "ok", "", bits.tolist()
+
+
+class TestSwitchBitsTwin:
+    """``switch_bits_inplace`` (four scalar reads and writes) against the
+    ``np.ix_`` reference: same results, same errors, same messages."""
+
+    @pytest.mark.parametrize("direction", [POSITIVE, NEGATIVE, "sideways"])
+    def test_every_2x2_pattern(self, direction):
+        # the four corners of a 3x4 matrix's (1, 3, 2, 4) rectangle take every
+        # pattern; the other cells are random
+        rng = np.random.default_rng(73)
+        for corners in itertools.product((0, 1), repeat=4):
+            bits = (rng.random((3, 4)) < 0.5).astype(np.int8)
+            bits[0, 1], bits[0, 3], bits[2, 1], bits[2, 3] = corners
+            for coord in ((1, 3, 2, 4), Switch(1, 3, 2, 4)):
+                want = switch_outcome(switch_bits_ix, bits, coord, direction)
+                got = switch_outcome(binmat.switch_bits_inplace, bits, coord, direction)
+                assert got == want
+            # corners (i, k), (i, l), (j, k), (j, l): a positive switch needs 0 1 1 0
+            needed = {POSITIVE: (0, 1, 1, 0), NEGATIVE: (1, 0, 0, 1)}.get(direction)
+            assert (want[0] == "ok") == (corners == needed)
+
+    @pytest.mark.parametrize("coord", [
+        (1, 4, 1, 2), (1, 2, 1, 5), (3, 4, 4, 5), (1, 3, 1, 4), (2, 1, 1, 2),
+        (1, 2, 2, 2), (0, 1, 1, 2), (1, 2, 0, 3), (-1, 2, 1, 2),
+    ])
+    @pytest.mark.parametrize("direction", [POSITIVE, NEGATIVE, "sideways"])
+    def test_out_of_range_and_malformed(self, coord, direction):
+        bits = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.int8)
+        want = switch_outcome(switch_bits_ix, bits, coord, direction)
+        assert switch_outcome(binmat.switch_bits_inplace, bits, coord, direction) == want
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(74)
+        for _ in range(300):
+            p, q = (int(x) for x in rng.integers(2, 7, size=2))
+            bits = random_binary(rng, p, q).writable_bits()
+            i, j = sorted(int(x) for x in rng.choice(np.arange(1, p + 1), 2, replace=False))
+            k, l = sorted(int(x) for x in rng.choice(np.arange(1, q + 1), 2, replace=False))
+            direction = (POSITIVE, NEGATIVE)[int(rng.integers(2))]
+            want = switch_outcome(switch_bits_ix, bits, (i, j, k, l), direction)
+            assert switch_outcome(binmat.switch_bits_inplace, bits, (i, j, k, l), direction) == want
 
 
 class TestUnitaryDecomposition:

@@ -1,8 +1,11 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchgraph import binmat, cli
 from switchgraph.binmat import BinaryMatrix
@@ -366,6 +369,49 @@ class TestUsage:
         assert code == 64 and stdout == ""
         assert "out of range" in err
         assert not out.exists()
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=8)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestRenderJson:
+    """The report renderer is ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_tuples_and_float_subclasses(self):
+        value = {"t": (1, (2.5, ())), "f": np.float64(0.1), "g": [np.float64(-math.inf)]}
+        assert cli._render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {"a": {1, 2}}])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            cli._render_json(value)
+
+    def test_reach_report_bytes(self, tmp_path, capsys):
+        a = write(tmp_path, "a.mat", RING_A)
+        b = write(tmp_path, "b.mat", RING_B)
+        _, out, _ = run_cli(capsys, "reach", a, b)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestRoundTrip:

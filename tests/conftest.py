@@ -94,3 +94,33 @@ def block_pair():
 
 def random_binary(rng: np.random.Generator, p: int, q: int, density=0.5) -> BinaryMatrix:
     return BinaryMatrix((rng.random((p, q)) < density).astype(int))
+
+
+def reference_sym_board_pair_counts(adj, sign):
+    """Boards of one sign per row pair, by a blocked prefix-sum scan.
+
+    ``counts[i, j]`` = boards (i, j, k, l) with k < l, for every row pair
+    i < j (0 on and below the diagonal).  Independent of the matrix-product
+    identity that ``graph.sym_board_pair_counts`` and
+    ``graph.NegativeBoardTable`` read: for the pair i < j it scans the row
+    difference a_i - a_j once, counting the pairs k < l with the sign's
+    pattern through a cumulative sum.  Rows are taken in blocks of about
+    2^20 / n^2, so its scratch is near 8 MB up to n = 1024.
+    """
+    a = np.asarray(adj, dtype=np.int8)
+    n = a.shape[0]
+    hi = 1 if sign == "positive" else -1
+    every = np.arange(n)
+    out = np.empty((n, n), dtype=np.int64)
+    step = max(1, (1 << 20) // (n * n))
+    for start in range(0, n, step):
+        block = every[start : start + step]
+        # d[t, b, k] = a[i, k] - a[j, k] for the pair i < j of {block[t], b},
+        # zeroed at k in {i, j}
+        d = a[block, None, :] - a
+        d *= np.where(every < block[:, None], -1, 1).astype(np.int8)[:, :, None]
+        d[np.arange(block.size)[:, None], every, block[:, None]] = 0
+        d[:, every, every] = 0
+        below = np.cumsum(d == hi, axis=2, dtype=np.int16 if n < 2**15 else np.int32)
+        out[start : start + step] = (below * (d == -hi)).sum(axis=2, dtype=np.int64)
+    return np.triu(out, k=1)

@@ -24,6 +24,8 @@ from switchgraph.graph import (
 )
 from switchgraph.optimize import sample_negative_checkerboard
 
+from conftest import reference_sym_board_pair_counts
+
 
 def complete_graph(n):
     adj = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
@@ -286,6 +288,40 @@ class TestNegativeBoardTable:
         table = graph.NegativeBoardTable(adj)
         with pytest.raises(InvalidSwitch):
             table.switch(Switch(1, 2, 3, 4))
+
+
+class TestBoardPairCountsTwin:
+    """``sym_board_pair_counts`` against the independent prefix-sum scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 24, 60, 100, 150])
+    def test_matches_reference_on_sorted_er(self, n):
+        for tenths in range(1, 10):
+            g, _ = sort_by_degree(gen_erdos_renyi(n, tenths / 10, seed=100 * n + tenths))
+            for sign in (POSITIVE, NEGATIVE):
+                got = graph.sym_board_pair_counts(g.adj, sign)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+
+    @pytest.mark.parametrize(
+        "g", [Graph(np.zeros((6, 6), dtype=int)), complete_graph(7), star_graph(6)]
+    )
+    def test_matches_reference_on_boardless_graphs(self, g):
+        for sign in (POSITIVE, NEGATIVE):
+            got = graph.sym_board_pair_counts(g.adj, sign)
+            assert not got.any()
+            assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+
+    def test_table_matches_reference_over_200_switches(self):
+        rng = np.random.default_rng(29)
+        g, _ = sort_by_degree(gen_erdos_renyi(40, 0.5, seed=29))
+        adj = g.writable_bits()
+        table = graph.NegativeBoardTable(adj)
+        for _ in range(200):
+            assert np.array_equal(table.counts, reference_sym_board_pair_counts(adj, NEGATIVE))
+            coord = sample_negative_checkerboard(adj, rng, table.counts)
+            assert coord is not None
+            table.switch(coord)
+        assert np.array_equal(table.counts, reference_sym_board_pair_counts(adj, NEGATIVE))
 
 
 class TestApplySymSwitch:

@@ -196,6 +196,18 @@ class TestVerifyReachability:
         rec = next(r for r in rep.conjecture if r.diff_key == key)
         assert rec.cond_i and not rec.cond_ii and rec.reachable_pairs == 0
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_margin_two_reachability_is_condition_i(self, n):
+        # Brualdi & Deaett (Linear Algebra Appl. 421, 2007): with every
+        # margin 2, the Bruhat order (condition (i)) and the positive-switch
+        # order coincide, so T >= 0 is exactly reachability
+        mats = oracle.enumerate_margins((2,) * n, (2,) * n)
+        closure = oracle.reachability_closure(oracle.build_dag(mats))
+        for a, A in enumerate(mats):
+            for b, B in enumerate(mats):
+                cond_i = reach.compute_T(reach.diff(A, B)).nonneg
+                assert bool(closure[a] >> b & 1) == cond_i, (n, a, b)
+
     def test_block_class_distance_four(self):
         A, B = BinaryMatrix(BLOCK_A), BinaryMatrix(BLOCK_B)
         path = oracle.bfs_directed_path(A, B)

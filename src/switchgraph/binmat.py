@@ -160,7 +160,11 @@ class BinaryMatrix:
 
 
 def read_matrix(path) -> BinaryMatrix:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a matrix file.  Bytes reach :meth:`BinaryMatrix.from_text` as
+    they are: no newline translation, so a CR is a bad cell, and a
+    non-ASCII byte reads as U+FFFD, also a bad cell, so the error names
+    its row."""
+    with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
         return BinaryMatrix.from_text(fh.read())
 
 
@@ -179,9 +183,10 @@ def row_col_sums(A: BinaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-# Scratch elements per block of the row-blocked board scans (here and in
-# ``graph.sym_board_pair_counts``): a block of r rows holds r times the
-# scan's cells per row.
+# Scratch elements per block of the row-blocked scans: ``board_coords``
+# here, and the member chunks and pair blocks of ``oracle``.  A block of r
+# rows holds r times the scan's cells per row.  ``graph`` counts its
+# boards by matrix products in its own row blocks and does not use it.
 _BLOCK_CELLS = 1 << 20
 
 

@@ -113,28 +113,18 @@ def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
     contributes to exactly two row pairs, so ``counts.sum() // 2`` is the
     number of distinct switches.
 
-    O(n) per pair.  Rows are taken in blocks of
-    ``binmat._BLOCK_CELLS // n**2`` (at least one), about 8 bytes per
-    entry, so scratch stays near 8 MB up to n = 1024 and near 8 n^2 bytes
-    beyond.
+    This is the ``counts`` of a :class:`NegativeBoardTable`, so the full
+    count and the optimizer's update read one identity.  The positive
+    boards of A are the negative boards of its complement with a zero
+    diagonal (no board touches the diagonal).  Five (n x n)(n x n)
+    products, in BLAS; the table's helpers and the result take 32 n^2
+    bytes, and the row blocks under 2 MB more.
     """
-    a = np.asarray(adj, dtype=np.int8)
-    n = a.shape[0]
-    hi = 1 if sign == POSITIVE else -1
-    every = np.arange(n)
-    out = np.empty((n, n), dtype=np.int64)
-    step = max(1, binmat._BLOCK_CELLS // (n * n))
-    for start in range(0, n, step):
-        block = every[start : start + step]
-        # d[t, b, k] = a[i, k] - a[j, k] for the pair i < j of {block[t], b},
-        # zeroed at k in {i, j}
-        d = a[block, None, :] - a
-        d *= np.where(every < block[:, None], -1, 1).astype(np.int8)[:, :, None]
-        d[np.arange(block.size)[:, None], every, block[:, None]] = 0
-        d[:, every, every] = 0
-        below = np.cumsum(d == hi, axis=2, dtype=np.int16 if n < 2**15 else np.int32)
-        out[start : start + step] = (below * (d == -hi)).sum(axis=2, dtype=np.int64)
-    return np.triu(out, k=1)
+    if sign == POSITIVE:
+        # built in float64, the complement is the table's A as it is
+        adj = 1.0 - adj
+        np.fill_diagonal(adj, 0.0)
+    return NegativeBoardTable(adj).counts
 
 
 def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
@@ -144,17 +134,23 @@ def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
     return int(sym_board_pair_counts(adj, sign).sum()) // 2
 
 
+# Cells per row block of the full count in ``NegativeBoardTable``: each
+# of its five or so float64 temporaries holds a block of r rows, r x n
+# cells, so the blocks stay under 2 MB beside the helpers and the table.
+_COUNT_BLOCK_CELLS = 1 << 15
+
+
 class NegativeBoardTable:
-    """``sym_board_pair_counts(adj, NEGATIVE)``, kept current under switches.
+    """Negative boards per row pair, counted once and kept current under
+    switches.
 
-    ``counts`` is counted once from scratch; ``switch(coord)`` applies a
-    positive switch to ``adj`` in place and recounts the row pairs that
-    touch its four rows, the only pairs it can change, with two matrix
-    products instead of n x n prefix sums.
-
-    For rows i < j, with S_i(k) the 1s of row i right of column k, P_j(l)
-    the 1s of row j left of column l, Q = A o P and c the number of common
-    neighbours, the negative boards are
+    ``counts`` is :func:`sym_board_pair_counts` of ``adj`` for the sign
+    ``NEGATIVE``.  ``switch(coord)`` applies a positive switch to ``adj``
+    in place and recounts the row pairs that touch its four rows, the
+    only pairs it can change.  The count from scratch and the recount read
+    one identity.  For rows i < j, with S_i(k) the 1s of row i right of
+    column k, P_j(l) the 1s of row j left of column l, Q = A o P and c the
+    number of common neighbours, the negative boards are
 
         N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl)
                 = sum_k a_jk (1-a_ik) S_i(k) - sum_l a_il Q_jl + C(c, 2)
@@ -162,18 +158,23 @@ class NegativeBoardTable:
                           + P_j(j) - sum_{k<j} a_ik a_jk - 1),
 
     the last line taking out the boards through column i or j.  A is
-    symmetric and P_r + S_r + a_r = deg_r, so for a switched row r in
-    either place, i or j, every sum is an entry of A times a (12 x n)
-    stack ((1-a_r) o S_r, a_r, and a_r right of column r, for the four
-    rows) or of [Q; tril(A, -1)] times the four rows.  A switch changes A
-    and tril(A, -1) only at eight entries of its 4 x 4 block and Q only in
-    its four rows, so the helpers stay current in O(n) per switch.  They
-    are three float64 n x n arrays (24 n^2 bytes), so the products run in
-    BLAS; every value is an integer below n^3, which float64 holds exactly
-    for n up to 2^17, far beyond any dense matrix that fits in memory.
-    For the same reason the update may group and order its float
-    arithmetic freely: every partial result is an exact integer, so the
-    table is equal, entry for entry, to a count from scratch.
+    symmetric and P_r + S_r + a_r = deg_r, so for all pairs at once the
+    sums are ((1-A) o S) A, A Q^T, A A, triu(A, 1) A and A triu(A, 1):
+    five (n x n)(n x n) products, taken in row blocks of about
+    ``_COUNT_BLOCK_CELLS / n`` rows.  For a switched row r in either
+    place, i or j, every sum is an entry of A times a (12 x n) stack
+    ((1-a_r) o S_r, a_r, and a_r right of column r, for the four rows) or
+    of [Q; tril(A, -1)] times the four rows.  A switch changes A and
+    tril(A, -1) only at eight entries of its 4 x 4 block and Q only in
+    its four rows, so the helpers stay current in O(n) per switch.
+
+    The helpers are three float64 n x n arrays (24 n^2 bytes), so the
+    products run in BLAS; with the int64 table a table holds 32 n^2
+    bytes, and the full count needs under 2 MB more.  Every value, partial
+    or final, is an integer below n^3, which float64 holds exactly for n
+    up to 2^17, far beyond any dense matrix that fits in memory.  So the
+    arithmetic may be grouped and ordered freely: the table equals, entry
+    for entry, a count by any other method.
 
     Besides A, Q and tril(A, -1) the table keeps P_b(b), the 1s of each
     row left of the diagonal (row b of tril(A, -1) summed), and the
@@ -187,17 +188,54 @@ class NegativeBoardTable:
 
     def __init__(self, adj: np.ndarray):
         self.adj = adj
-        self.counts = sym_board_pair_counts(adj, NEGATIVE)
-        a = adj.astype(np.float64)
+        a = adj.astype(np.float64, copy=False)
         n = a.shape[0]
-        before = np.cumsum(a, axis=1) - a
         self._a = a
         self._degrees = a.sum(axis=1)
-        self._left = before.diagonal().copy()  # P_b(b), 1s left of the diagonal
         # Q stacked on tril(A, -1)
-        self._q_lower = np.concatenate([a * before, np.tril(a, -1)])
-        self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
+        self._q_lower = np.empty((2 * n, n))
+        q, lower = self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
+        np.cumsum(a, axis=1, out=q)
+        q -= a  # P
+        self._left = q.diagonal().copy()  # P_b(b), 1s left of the diagonal
+        q *= a
+        np.multiply(a, np.tri(n, k=-1, dtype=bool), out=lower)
         self._stack = np.empty((12, n))
+        self.counts = np.empty((n, n), dtype=np.int64)
+        step = max(1, _COUNT_BLOCK_CELLS // n)
+        for start in range(0, n, step):
+            self._count_rows(start, min(start + step, n))
+
+    def _count_rows(self, start: int, stop: int) -> None:
+        """Count ``counts[start:stop]`` from scratch, pairs (i, j) with i
+        in the block and i < j."""
+        A, lower = self._a, self._lower
+        a = A[start:stop]
+        deg_r = self._degrees[start:stop, None]
+        # (1-a_r) o S_r, with S_r = deg_r - (1s up to and including column k)
+        right = a.cumsum(axis=1)
+        np.subtract(deg_r, right, out=right)
+        right *= 1.0 - a
+        total = right @ A
+        common = np.matmul(a, A, out=right)
+        # C(common, 2) + sum_k a_jk (1-a_ik) S_i(k) - sum_l a_il Q_jl
+        pairs = common - 1.0
+        pairs *= common
+        pairs *= 0.5
+        total += pairs
+        total -= a @ self._q.T
+        # what multiplies a_ij: S_i(i) - 1 + P_j(j), less the common
+        # neighbours right of i (triu(A, 1) A) and those left of j
+        # (A triu(A, 1))
+        a_factor = np.matmul(lower[:, start:stop].T, A, out=pairs)
+        np.subtract(self._left, a_factor, out=a_factor)
+        a_factor -= a @ lower.T
+        a_factor += deg_r - 1.0 - self._left[start:stop, None]
+        a_factor *= a
+        total -= a_factor
+        # only the pairs i < j
+        total *= np.arange(A.shape[0]) > np.arange(start, stop)[:, None]
+        self.counts[start:stop] = total
 
     def switch(self, coord) -> None:
         """Apply the positive switch ``coord`` to ``adj`` and bring

@@ -9,21 +9,23 @@ the degree sequence is untouched, so the trajectory is a monotone walk of
 the switch order.
 
 A run keeps the table of negative boards per row pair current in a
-``graph.NegativeBoardTable``: it is counted once from scratch
-(``graph.sym_board_pair_counts``), and after each switch only the row
-pairs touching the four switched rows are recounted.  That recount reads
-the identity, for rows i < j,
+``graph.NegativeBoardTable``.  The table is counted once from scratch
+and, after each switch, only the row pairs touching the four switched
+rows are recounted.  Both read one identity, for rows i < j,
 
     N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl),
 
-expanded into sums that two matrix products give for all rows at once:
-A times a (12 x n) stack built from the four rows, and [Q; tril(A, -1)]
-times the four rows, with Q = A o P and P_j(l) the 1s of row j left of
-column l.  The helpers A, Q and tril(A, -1) change only in the switched
-rows, so they stay current in O(n) per step; they are float64 (24 n^2
-bytes) and every value is an integer below n^3, which float64 holds
-exactly.  Every step is an exact uniform pick from that table, and an
-empty table is the sink, confirmed by one more full count.
+expanded into sums that matrix products give: five (n x n)(n x n)
+products in row blocks for the full count (about 1 ms at n = 100), and
+for the recount A times a (12 x n) stack built from the four rows and
+[Q; tril(A, -1)] times the four rows, with Q = A o P and P_j(l) the 1s
+of row j left of column l.  The helpers A, Q and tril(A, -1) change only
+in the switched rows, so they stay current in O(n) per step; they are
+float64 (24 n^2 bytes, 32 n^2 with the int64 table, and the full count's
+row blocks need under 2 MB more), and every value is an integer below
+n^3, which float64 holds exactly.  Every step is an exact uniform pick
+from that table, and an empty table is the sink, confirmed by one more
+full count once the table is released, so a run never holds two.
 
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
 fixed seed replays the trajectory byte for byte.
@@ -195,6 +197,7 @@ def run(
     for step in range(1, budget + 1):
         coord = sample_negative_checkerboard(adj, rng, table.counts)
         if coord is None:
+            del table  # a run holds one table at a time
             if count_sym_checkerboards(adj, NEGATIVE):
                 raise InternalInvariantViolation(
                     "board table reads empty but negative boards remain"

@@ -126,6 +126,26 @@ class TestTextFormat:
         binmat.write_matrix(A, path)
         assert binmat.read_matrix(path) == A
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # the format is LF-terminated: no newline translation on read
+            (b"2 2\r\n10\r\n01\r\n", r"bad row 1: '10\r'"),
+            (b"2 2\n10\r\n01\n", r"bad row 1: '10\r'"),
+            (b"2 2\r10\r01\r", "bad header line"),
+            # a non-ASCII byte reads as U+FFFD, a bad cell of its row
+            ("2 2\n10\n0\u00e9\n".encode("utf-8"), "bad row 2: '0\ufffd\ufffd'"),
+            (b"2 2\n1\xff\n01\n", "bad row 1: '1\ufffd'"),
+        ],
+        ids=["crlf", "one-crlf-row", "lone-cr", "utf-8", "latin-1"],
+    )
+    def test_file_rejects_cr_and_non_ascii(self, tmp_path, data, message):
+        path = tmp_path / "m.mat"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError) as info:
+            binmat.read_matrix(path)
+        assert str(info.value).startswith(message)
+
 
 def from_text_per_row(text):
     """The per-row parser that ``BinaryMatrix.from_text`` replaced: one

@@ -128,6 +128,30 @@ class TestAnalyze:
         assert code == 65
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"2 2\r\n10\r\n01\r\n", r"bad row 1: '10\r'"),
+        ("2 2\n1\u00e9\n01\n".encode("utf-8"), "bad row 1: "),
+    ],
+    ids=["crlf", "non-ascii"],
+)
+@pytest.mark.parametrize("command", ["analyze", "reach", "path", "optimize"])
+def test_cr_and_non_ascii_files_are_bad_data(tmp_path, capsys, data, message, command):
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(data)
+    good = write(tmp_path, "good.mat", [[1, 0], [0, 1]])
+    argv = {
+        "analyze": [bad],
+        "reach": [good, bad],
+        "path": [good, bad],
+        "optimize": ["--input", bad, "--budget", "5"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *map(str, argv))
+    assert code == 65 and out == ""
+    assert f"{bad}: {message}" in err
+
+
 class TestReach:
     def test_reachable_pair(self, tmp_path, capsys):
         a = write(tmp_path, "a.mat", PAIR_3X3_A)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,28 @@ class TestBoardPairCountsTwin:
             got = graph.sym_board_pair_counts(g.adj, sign)
             assert not got.any()
             assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    def test_row_blocks_match_reference(self, monkeypatch, rows):
+        g, _ = sort_by_degree(gen_erdos_renyi(50, 0.4, seed=rows))
+        monkeypatch.setattr(graph, "_COUNT_BLOCK_CELLS", rows * 50)
+        for sign in (POSITIVE, NEGATIVE):
+            got = graph.sym_board_pair_counts(g.adj, sign)
+            assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+
+    @pytest.mark.parametrize("n, limit", [(100, 10**6), (300, 32 * 300**2 + 2 * 10**6)])
+    def test_count_traced_peak(self, n, limit):
+        # at n = 100 one row block; at n = 300 three.  The helpers and the
+        # table take 32 n^2 bytes, the row blocks stay under 2 MB more.
+        g, _ = sort_by_degree(gen_erdos_renyi(n, 0.3, seed=n))
+        for sign in (POSITIVE, NEGATIVE):
+            tracemalloc.start()
+            try:
+                graph.sym_board_pair_counts(g.adj, sign)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (sign, peak)
 
     def test_table_matches_reference_over_200_switches(self):
         rng = np.random.default_rng(29)

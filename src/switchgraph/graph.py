@@ -117,8 +117,9 @@ def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
     count and the optimizer's update read one identity.  The positive
     boards of A are the negative boards of its complement with a zero
     diagonal (no board touches the diagonal).  Five (n x n)(n x n)
-    products, in BLAS; the table's helpers and the result take 32 n^2
-    bytes, and the row blocks under 2 MB more.
+    products in float64 BLAS (about 1 ms at n = 100), exact because every
+    term is an integer below n^3; the table's helpers and the result take
+    32 n^2 bytes, and the row blocks under 2 MB more.
     """
     if sign == POSITIVE:
         # built in float64, the complement is the table's A as it is
@@ -144,11 +145,11 @@ class NegativeBoardTable:
     """Negative boards per row pair, counted once and kept current under
     switches.
 
-    ``counts`` is :func:`sym_board_pair_counts` of ``adj`` for the sign
-    ``NEGATIVE``.  ``switch(coord)`` applies a positive switch to ``adj``
-    in place and recounts the row pairs that touch its four rows, the
-    only pairs it can change.  The count from scratch and the recount read
-    one identity.  For rows i < j, with S_i(k) the 1s of row i right of
+    ``counts[i, j]`` = negative boards (i, j, k, l) with k < l, for every
+    row pair i < j (0 on and below the diagonal).  ``switch(coord)``
+    applies a positive switch to ``adj`` in place and recounts the row
+    pairs that touch its four rows, the only pairs it can change.  The
+    count from scratch and the recount read one identity.  For rows i < j, with S_i(k) the 1s of row i right of
     column k, P_j(l) the 1s of row j left of column l, Q = A o P and c the
     number of common neighbours, the negative boards are
 

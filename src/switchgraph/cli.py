@@ -134,9 +134,10 @@ class _InputError(Exception):
 
 
 def _load_margins(path: str) -> tuple[list[int], list[int]]:
-    """Margins file: line 1 row sums, line 2 column sums, space separated."""
+    """Margins file: line 1 row sums, line 2 column sums, space separated.
+    A non-ASCII byte reads as U+FFFD, a bad margin value."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
             lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}", EXIT_NOINPUT) from exc

@@ -114,12 +114,12 @@ def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
     number of distinct switches.
 
     This is the ``counts`` of a :class:`NegativeBoardTable`, so the full
-    count and the optimizer's update read one identity.  The positive
+    count and the optimizer's update run one kernel.  The positive
     boards of A are the negative boards of its complement with a zero
-    diagonal (no board touches the diagonal).  Five (n x n)(n x n)
-    products in float64 BLAS (about 1 ms at n = 100), exact because every
+    diagonal (no board touches the diagonal).  The kernel runs over row
+    blocks in float64 BLAS (about 1 ms at n = 100), exact because every
     term is an integer below n^3; the table's helpers and the result take
-    32 n^2 bytes, and the row blocks under 2 MB more.
+    32 n^2 bytes, and a row block about 0.5 MB more.
     """
     if sign == POSITIVE:
         # built in float64, the complement is the table's A as it is
@@ -130,15 +130,13 @@ def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
 
 def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
     """Number of distinct symmetric checkerboards of the given sign."""
-    if adj.shape[0] < 4:
-        return 0
     return int(sym_board_pair_counts(adj, sign).sum()) // 2
 
 
-# Cells per row block of the full count in ``NegativeBoardTable``: each
-# of its five or so float64 temporaries holds a block of r rows, r x n
-# cells, so the blocks stay under 2 MB beside the helpers and the table.
-_COUNT_BLOCK_CELLS = 1 << 15
+# Cells per row block of the full count in ``NegativeBoardTable``: the
+# kernel's 16 or so float64 temporaries each hold r x n cells for a block
+# of r rows, so a block takes about 0.5 MB beside the helpers and the table.
+_COUNT_BLOCK_CELLS = 1 << 12
 
 
 class NegativeBoardTable:
@@ -148,43 +146,45 @@ class NegativeBoardTable:
     ``counts[i, j]`` = negative boards (i, j, k, l) with k < l, for every
     row pair i < j (0 on and below the diagonal).  ``switch(coord)``
     applies a positive switch to ``adj`` in place and recounts the row
-    pairs that touch its four rows, the only pairs it can change.  The
-    count from scratch and the recount read one identity.  For rows i < j, with S_i(k) the 1s of row i right of
-    column k, P_j(l) the 1s of row j left of column l, Q = A o P and c the
-    number of common neighbours, the negative boards are
+    pairs that touch its four rows, the only pairs it can change.  For
+    rows i < j, with S_i(k) the 1s of row i right of column k, P_j(l) the
+    1s of row j left of column l, Q = A o P and c the number of common
+    neighbours, the negative boards are
 
         N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl)
                 = sum_k a_jk (1-a_ik) S_i(k) - sum_l a_il Q_jl + C(c, 2)
                   - a_ij (S_i(i) - sum_{l>i} a_il a_jl
                           + P_j(j) - sum_{k<j} a_ik a_jk - 1),
 
-    the last line taking out the boards through column i or j.  A is
-    symmetric and P_r + S_r + a_r = deg_r, so for all pairs at once the
-    sums are ((1-A) o S) A, A Q^T, A A, triu(A, 1) A and A triu(A, 1):
-    five (n x n)(n x n) products, taken in row blocks of about
-    ``_COUNT_BLOCK_CELLS / n`` rows.  For a switched row r in either
-    place, i or j, every sum is an entry of A times a (12 x n) stack
-    ((1-a_r) o S_r, a_r, and a_r right of column r, for the four rows) or
-    of [Q; tril(A, -1)] times the four rows.  A switch changes A and
+    the last line taking out the boards through column i or j.
+
+    One kernel reads this identity for a set of rows r against every row
+    b, in both places: the pair (r, b) and the pair (b, r).  A is
+    symmetric and P_r + S_r + a_r = deg_r, so every sum is an entry of A
+    times a stack of three rows per r ((1-a_r) o S_r, a_r, and a_r right
+    of column r) or of [Q; tril(A, -1)] times the rows a_r, and the two
+    places share C(c, 2) and the product terms.  The count from scratch
+    runs the kernel over row blocks of about ``_COUNT_BLOCK_CELLS / n``
+    rows and keeps the pairs (r, b) with b > r, about 1 ms at n = 100.
+    ``switch`` runs it on its four rows and writes both halves back, one
+    row segment and one column segment per row r.  A switch changes A and
     tril(A, -1) only at eight entries of its 4 x 4 block and Q only in
-    its four rows, so the helpers stay current in O(n) per switch.
+    its four rows, which the kernel refreshes, so the helpers stay
+    current in O(n) per switch.
 
     The helpers are three float64 n x n arrays (24 n^2 bytes), so the
     products run in BLAS; with the int64 table a table holds 32 n^2
-    bytes, and the full count needs under 2 MB more.  Every value, partial
-    or final, is an integer below n^3, which float64 holds exactly for n
-    up to 2^17, far beyond any dense matrix that fits in memory.  So the
-    arithmetic may be grouped and ordered freely: the table equals, entry
-    for entry, a count by any other method.
+    bytes, and the full count needs about 0.5 MB more.  Every value,
+    partial or final, is an integer below n^3, which float64 holds
+    exactly for n up to 2^17, far beyond any dense matrix that fits in
+    memory.  So the arithmetic may be grouped and ordered freely: the
+    table equals, entry for entry, a count by any other method.
 
     Besides A, Q and tril(A, -1) the table keeps P_b(b), the 1s of each
     row left of the diagonal (row b of tril(A, -1) summed), and the
     degrees.  ``switch`` writes the eight changed entries of A, the four
-    of tril(A, -1) and the four changed P_b(b) as scalars, gathers the
-    four rows with ``take``, and fills the stack in place.  The pairs
-    (r, b) with r < b and (b, r) with b < r share C(c, 2) and the
-    product terms, so both halves come from one set of temporaries,
-    written back as one row segment and one column segment per row r.
+    of tril(A, -1) and the four changed P_b(b) as scalars before the
+    kernel runs.
     """
 
     def __init__(self, adj: np.ndarray):
@@ -193,6 +193,7 @@ class NegativeBoardTable:
         n = a.shape[0]
         self._a = a
         self._degrees = a.sum(axis=1)
+        self._columns = np.arange(n)
         # Q stacked on tril(A, -1)
         self._q_lower = np.empty((2 * n, n))
         q, lower = self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
@@ -201,42 +202,58 @@ class NegativeBoardTable:
         self._left = q.diagonal().copy()  # P_b(b), 1s left of the diagonal
         q *= a
         np.multiply(a, np.tri(n, k=-1, dtype=bool), out=lower)
-        self._stack = np.empty((12, n))
         self.counts = np.empty((n, n), dtype=np.int64)
         step = max(1, _COUNT_BLOCK_CELLS // n)
         for start in range(0, n, step):
-            self._count_rows(start, min(start + step, n))
+            rows = self._columns[start : start + step]
+            first, _ = self._recount(rows)
+            first *= self._columns > rows[:, None]
+            self.counts[rows] = first
 
-    def _count_rows(self, start: int, stop: int) -> None:
-        """Count ``counts[start:stop]`` from scratch, pairs (i, j) with i
-        in the block and i < j."""
-        A, lower = self._a, self._lower
-        a = A[start:stop]
-        deg_r = self._degrees[start:stop, None]
-        # (1-a_r) o S_r, with S_r = deg_r - (1s up to and including column k)
-        right = a.cumsum(axis=1)
-        np.subtract(deg_r, right, out=right)
-        right *= 1.0 - a
-        total = right @ A
-        common = np.matmul(a, A, out=right)
-        # C(common, 2) + sum_k a_jk (1-a_ik) S_i(k) - sum_l a_il Q_jl
-        pairs = common - 1.0
-        pairs *= common
-        pairs *= 0.5
-        total += pairs
-        total -= a @ self._q.T
-        # what multiplies a_ij: S_i(i) - 1 + P_j(j), less the common
-        # neighbours right of i (triu(A, 1) A) and those left of j
-        # (A triu(A, 1))
-        a_factor = np.matmul(lower[:, start:stop].T, A, out=pairs)
-        np.subtract(self._left, a_factor, out=a_factor)
-        a_factor -= a @ lower.T
-        a_factor += deg_r - 1.0 - self._left[start:stop, None]
+    def _recount(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Refresh Q in ``rows`` from A and count each row r of ``rows``
+        against every row b: the pair (r, b) in the first array, which
+        holds for b > r, and the pair (b, r) in the second, for b < r."""
+        A, left = self._a, self._left
+        m, n = rows.size, A.shape[0]
+        # axis 0: row r; axis 1: every row b.  The stack holds (1-a_r) o S_r,
+        # a_r, and a_r right of column r.
+        stack = np.empty((3 * m, n))
+        a = A.take(rows, axis=0, out=stack[m : 2 * m])
+        np.multiply(a, self._columns > rows[:, None], out=stack[2 * m :])
+        through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
+        deg_r = through[:, -1:]
+        self._q[rows] = a * (through - 1.0)
+        np.subtract(deg_r, through, out=stack[:m])
+        stack[:m] *= 1.0 - a
+        by_a = stack @ A
+        by_q_lower = a @ self._q_lower.T
+        common = by_a[m : 2 * m]
+        # C(common, 2) + sum_k a_bk (1-a_rk) S_r(k) - sum_l a_rl Q_bl
+        shared = common - 1.0
+        shared *= common
+        shared *= 0.5
+        shared += by_a[:m]
+        shared -= by_q_lower[:, :n]
+        # what multiplies a_rb in the pair (r, b): S_r(r) - 1 + P_b(b), less
+        # the common neighbours right of r and those left of b
+        a_factor = left - by_a[2 * m :]
+        a_factor -= by_q_lower[:, n:]
+        a_factor += deg_r - 1.0 - left.take(rows)[:, None]
+        rest_r = deg_r - common
+        rest_b = self._degrees - common
+        # b < r: the pair is (b, r)
+        second = rest_r * rest_b
+        second -= shared
+        rest_r += rest_b
+        rest_r -= a_factor
+        rest_r -= 2.0
+        rest_r *= a
+        second -= rest_r
+        # b > r: the pair is (r, b)
         a_factor *= a
-        total -= a_factor
-        # only the pairs i < j
-        total *= np.arange(A.shape[0]) > np.arange(start, stop)[:, None]
-        self.counts[start:stop] = total
+        shared -= a_factor
+        return shared, second
 
     def switch(self, coord) -> None:
         """Apply the positive switch ``coord`` to ``adj`` and bring
@@ -253,49 +270,9 @@ class NegativeBoardTable:
         left[max(j, l)] += 1.0
         left[max(i, l)] -= 1.0
         left[max(j, k)] -= 1.0
-        rows = np.array((i, j, k, l))
-        # axis 0: switched row r; axis 1: every row b.  The stack holds
-        # (1-a_r) o S_r, a_r, and a_r right of column r.
-        stack = self._stack
-        a = A.take(rows, axis=0, out=stack[4:8])
-        stack[8:] = a
-        for row, r in enumerate((i, j, k, l), start=8):
-            stack[row, : r + 1] = 0.0
-        through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
-        deg_r = through[:, -1:]
-        self._q[rows] = a * (through - 1.0)
-        np.subtract(deg_r, through, out=stack[:4])
-        stack[:4] *= 1.0 - a
-        by_a = stack @ A
-        by_q_lower = a @ self._q_lower.T
-        n = A.shape[0]
-        common = by_a[4:8]
-        # C(common, 2) + sum_k a_bk (1-a_rk) S_r(k) - sum_l a_rl Q_bl
-        shared = common - 1.0
-        shared *= common
-        shared *= 0.5
-        shared += by_a[:4]
-        shared -= by_q_lower[:, :n]
-        # what multiplies a_rb in the pair (r, b): S_r(r) - 1 + P_b(b), less
-        # the common neighbours right of r and those left of b
-        a_factor = left - by_a[8:]
-        a_factor -= by_q_lower[:, n:]
-        a_factor += deg_r - 1.0 - left.take(rows)[:, None]
-        rest_r = deg_r - common
-        rest_b = self._degrees - common
-        # b < r: the pair is (b, r)
-        second = rest_r * rest_b
-        second -= shared
-        rest_r += rest_b
-        rest_r -= a_factor
-        rest_r -= 2.0
-        rest_r *= a
-        second -= rest_r
-        # b > r: the pair is (r, b)
-        a_factor *= a
-        shared -= a_factor
-        for r, first, below in zip((i, j, k, l), shared, second):
-            self.counts[r, r + 1 :] = first[r + 1 :]
+        first, second = self._recount(np.array((i, j, k, l)))
+        for r, above, below in zip((i, j, k, l), first, second):
+            self.counts[r, r + 1 :] = above[r + 1 :]
             self.counts[:r, r] = below[:r]
 
 

@@ -11,19 +11,19 @@ the switch order.
 A run keeps the table of negative boards per row pair current in a
 ``graph.NegativeBoardTable``.  The table is counted once from scratch
 and, after each switch, only the row pairs touching the four switched
-rows are recounted.  Both read one identity, for rows i < j,
+rows are recounted.  Both run one kernel on one identity, for rows i < j,
 
     N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl),
 
-expanded into sums that matrix products give: five (n x n)(n x n)
-products in row blocks for the full count (about 1 ms at n = 100), and
-for the recount A times a (12 x n) stack built from the four rows and
-[Q; tril(A, -1)] times the four rows, with Q = A o P and P_j(l) the 1s
-of row j left of column l.  The helpers A, Q and tril(A, -1) change only
-in the switched rows, so they stay current in O(n) per step; they are
-float64 (24 n^2 bytes, 32 n^2 with the int64 table, and the full count's
-row blocks need under 2 MB more), and every value is an integer below
-n^3, which float64 holds exactly.  Every step is an exact uniform pick
+expanded into sums that matrix products give: for a set of rows, A
+times a stack of three rows per row and [Q; tril(A, -1)] times the rows,
+with Q = A o P and P_j(l) the 1s of row j left of column l.  The full
+count runs the kernel over row blocks (about 1 ms at n = 100), the
+recount on the four switched rows.  The helpers A, Q and tril(A, -1)
+change only in the switched rows, so they stay current in O(n) per step;
+they are float64 (24 n^2 bytes, 32 n^2 with the int64 table, and a row
+block of the full count about 0.5 MB more), and every value is an
+integer below n^3, which float64 holds exactly.  Every step is an exact uniform pick
 from that table, and an empty table is the sink, confirmed by one more
 full count once the table is released, so a run never holds two.
 

@@ -293,6 +293,18 @@ class TestEnumerate:
         assert code == 65 and out == ""
         assert "negative margin" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("enumerate",), ("gen", "zebra", "--out", "{d}/z.mat")], ids=["enumerate", "gen-zebra"]
+    )
+    def test_non_ascii_margin_is_bad_data(self, tmp_path, capsys, argv):
+        # the byte reads as U+FFFD, so the value fails to parse
+        margins = tmp_path / "m.txt"
+        margins.write_bytes(b"2 1\xc3\xa9\n2 1 1\n")
+        argv = [arg.format(d=tmp_path) for arg in argv] + ["--margins", str(margins)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 65 and out == ""
+        assert "bad margin value" in err
+
     def test_margins_cap(self, tmp_path, capsys):
         margins = tmp_path / "m.txt"
         margins.write_text("2 2 2 2\n2 2 2 2\n")

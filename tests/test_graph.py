@@ -304,13 +304,41 @@ class TestBoardPairCountsTwin:
                 assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
 
     @pytest.mark.parametrize(
-        "g", [Graph(np.zeros((6, 6), dtype=int)), complete_graph(7), star_graph(6)]
+        "g",
+        [Graph(np.zeros((6, 6), dtype=int)), complete_graph(7), star_graph(6)]
+        + [Graph(np.zeros((n, n), dtype=int)) for n in (1, 2, 3)]
+        + [complete_graph(n) for n in (1, 2, 3)],
     )
     def test_matches_reference_on_boardless_graphs(self, g):
         for sign in (POSITIVE, NEGATIVE):
             got = graph.sym_board_pair_counts(g.adj, sign)
             assert not got.any()
             assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+            assert count_sym_checkerboards(g.adj, sign) == 0
+
+    def test_kernel_halves_match_reference(self):
+        # both halves of the table's recount kernel, on every pair they
+        # define and on row sets that switch never passes
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            n = int(rng.integers(1, 41))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+            if trial % 2:
+                g, _ = sort_by_degree(g)
+            adj = g.writable_bits()
+            want = reference_sym_board_pair_counts(adj, NEGATIVE)
+            table = graph.NegativeBoardTable(adj)
+            every = np.arange(n)
+            subsets = [[0], [n - 1], every, rng.choice(n, int(rng.integers(1, n + 1)), replace=False)]
+            if n >= 4:
+                subsets.append(rng.choice(n, 4, replace=False))
+            for rows in map(np.asarray, subsets):
+                first, second = table._recount(rows)
+                # r < b from the first half, b < r from the second
+                later, earlier = every > rows[:, None], every < rows[:, None]
+                assert np.array_equal(first[later], want[rows][later])
+                assert np.array_equal(second[earlier], want[:, rows].T[earlier])
+            assert np.array_equal(table.counts, want)
 
     @pytest.mark.parametrize("rows", [1, 7, 16])
     def test_row_blocks_match_reference(self, monkeypatch, rows):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from switchgraph import BinaryMatrix
+from switchgraph import BinaryMatrix, binmat, reach
+from switchgraph.binmat import NEGATIVE, POSITIVE
+from switchgraph.errors import InternalInvariantViolation
 
 # 3x3 pair two positive switches apart (two distinct shortest paths).
 PAIR_3X3_A = [[0, 0, 1], [1, 0, 0], [1, 1, 0]]
@@ -124,3 +126,46 @@ def reference_sym_board_pair_counts(adj, sign):
         below = np.cumsum(d == hi, axis=2, dtype=np.int16 if n < 2**15 else np.int32)
         out[start : start + step] = (below * (d == -hi)).sum(axis=2, dtype=np.int64)
     return np.triu(out, k=1)
+
+
+def reference_interval_search(A, A2, T, cap):
+    """The T-interval search over ``Checkerboard`` objects.
+
+    Same search as ``reach._interval_search``: depth first, boards in
+    lexicographic order from ``binmat.find_checkerboards``, a board taken
+    when its rectangle fits the remaining T and it leads to no dead state,
+    ``Unknown`` past ``cap`` expanded states.  Returns ``(status, path)``.
+    """
+    if cap < 1:
+        return reach.UNKNOWN, None
+    stack = [[A, T.values, 0, None]]
+    dead = set()
+    expanded = 1
+    while stack:
+        frame = stack[-1]
+        mat, t, start, _ = frame
+        boards = binmat.find_checkerboards(mat, NEGATIVE)
+        for pos in range(start, len(boards)):
+            sw = boards[pos].coord
+            if not (t[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] >= 1).all():
+                continue
+            nxt = binmat.apply_switch(mat, sw, POSITIVE)
+            if nxt.key() not in dead:
+                break
+        else:
+            dead.add(mat.key())
+            stack.pop()
+            continue
+        frame[2] = pos + 1
+        t_next = t.copy()
+        t_next[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] -= 1
+        if not t_next.any():
+            if nxt != A2:
+                raise InternalInvariantViolation("interval search emptied T off target")
+            path = [f[3] for f in stack[1:]] + [sw]
+            return (reach.REACHABLE_EXHAUSTIVE if dead else reach.REACHABLE_HEURISTIC), path
+        if expanded >= cap:
+            return reach.UNKNOWN, None
+        expanded += 1
+        stack.append([nxt, t_next, 0, sw])
+    return reach.UNREACHABLE_EXHAUSTIVE, None

@@ -23,10 +23,15 @@ from switchgraph.reach import (
 from conftest import (
     BACKTRACK_A,
     BACKTRACK_B,
+    BLOCK_A,
+    BLOCK_B,
     BLOCK_T,
     PAIR_3X3_PATHS,
+    RING_A,
+    RING_B,
     RING_T,
     random_binary,
+    reference_interval_search,
 )
 
 
@@ -526,6 +531,76 @@ class TestBuildPath:
             assert v.reachable  # built by forward switches, so always reachable
             assert validate_path(A, B, v.path)
         assert seen_non_constructive > 0
+
+
+def embed_pair(rng, size, block_a, block_b):
+    """A 4x4 pair on contiguous rows and columns of a random size x size
+    context; the context is shared, so the pair's T grid is kept intact."""
+    r0, c0 = (int(x) for x in rng.integers(0, size - 3, size=2))
+    ctx = (rng.random((size, size)) < 0.5).astype(np.int8)
+    a, b = ctx.copy(), ctx.copy()
+    a[r0 : r0 + 4, c0 : c0 + 4] = block_a
+    b[r0 : r0 + 4, c0 : c0 + 4] = block_b
+    return BinaryMatrix(a), BinaryMatrix(b)
+
+
+def positive_walk(rng, size, steps):
+    """A random size x size matrix and the end of ``steps`` random positive
+    switches from it (the greedy slots of the reach-mix benchmark)."""
+    A = random_binary(rng, size, size)
+    bits = A.writable_bits()
+    for _ in range(steps):
+        boards = binmat.board_coords(bits, NEGATIVE)
+        binmat.switch_bits_inplace(bits, boards[int(rng.integers(len(boards)))], POSITIVE)
+    return A, BinaryMatrix(bits)
+
+
+class TestIntervalSearchTwin:
+    """``reach._interval_search`` against the object-based search of
+    :func:`conftest.reference_interval_search`: the same status and path."""
+
+    @staticmethod
+    def assert_twin(A, B, cap):
+        T = compute_T(diff(A, B))
+        got = reach._interval_search(A, B, T, cap)
+        want = reference_interval_search(A, B, T, cap)
+        assert got[0] == want[0], cap
+        assert got[1] == want[1], cap
+        assert got[1] is None or all(type(sw) is binmat.Switch for sw in got[1])
+        return got[0]
+
+    @pytest.mark.parametrize("cap", [1, 5, 50, reach.DEFAULT_BFS_CAP])
+    def test_golden_pairs(self, cap):
+        for a, b in ((RING_A, RING_B), (BLOCK_A, BLOCK_B), (BACKTRACK_A, BACKTRACK_B)):
+            self.assert_twin(BinaryMatrix(a), BinaryMatrix(b), cap)
+
+    def test_golden_statuses(self):
+        assert self.assert_twin(BinaryMatrix(RING_A), BinaryMatrix(RING_B), 50) == (
+            reach.UNREACHABLE_EXHAUSTIVE
+        )
+        assert self.assert_twin(BinaryMatrix(BLOCK_A), BinaryMatrix(BLOCK_B), 1) == reach.UNKNOWN
+        assert self.assert_twin(
+            BinaryMatrix(BACKTRACK_A), BinaryMatrix(BACKTRACK_B), 50
+        ) == reach.REACHABLE_EXHAUSTIVE
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_ring_in_context(self, size):
+        # every rectangle that fits RING's T lies inside the 4x4 block, and
+        # none of them carries a negative board there: no state expands
+        rng = np.random.default_rng(60 + size)
+        for _ in range(3):
+            A, B = embed_pair(rng, size, RING_A, RING_B)
+            for cap in (1, 5, 50):
+                assert self.assert_twin(A, B, cap) == reach.UNREACHABLE_EXHAUSTIVE
+
+    def test_random_walks(self):
+        rng = np.random.default_rng(64)
+        statuses = set()
+        for size, steps in zip((8, 10, 13, 16, 9, 12), (2, 4, 6, 8, 3, 5)):
+            A, B = positive_walk(rng, size, steps)
+            for cap in (1, 5, 50, 20_000):
+                statuses.add(self.assert_twin(A, B, cap))
+        assert {reach.UNKNOWN, reach.REACHABLE_HEURISTIC} <= statuses
 
 
 class TestValidatePath:

@@ -203,7 +203,7 @@ class NegativeBoardTable:
         q *= a
         np.multiply(a, np.tri(n, k=-1, dtype=bool), out=lower)
         self.counts = np.empty((n, n), dtype=np.int64)
-        step = max(1, _COUNT_BLOCK_CELLS // n)
+        step = max(1, _COUNT_BLOCK_CELLS // max(n, 1))
         for start in range(0, n, step):
             rows = self._columns[start : start + step]
             first, _ = self._recount(rows)

@@ -592,17 +592,19 @@ def _interval_search(
         return UNKNOWN, None
     # frame: [state, its remaining T, next board position, switch into it].
     # Boards are relisted on each visit: a long descent keeps one list alive.
+    # They stay plain (i, j, k, l) lists; only a fitting board becomes a Switch.
     stack = [[A, T.values, 0, None]]
     dead: set[bytes] = set()
     expanded = 1
     while stack:
         frame = stack[-1]
         mat, t, start, _ = frame
-        boards = binmat.find_checkerboards(mat, NEGATIVE)
+        boards = binmat.board_coords(mat.bits, NEGATIVE).tolist()
         for pos in range(start, len(boards)):
-            sw = boards[pos].coord
-            if not (t[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] >= 1).all():
+            i, j, k, l = boards[pos]
+            if not (t[i - 1 : j - 1, k - 1 : l - 1] >= 1).all():
                 continue
+            sw = Switch(i, j, k, l)
             nxt = binmat.apply_switch(mat, sw, POSITIVE)
             if nxt.key() not in dead:
                 break
@@ -612,7 +614,7 @@ def _interval_search(
             continue
         frame[2] = pos + 1
         t_next = t.copy()
-        t_next[sw.i - 1 : sw.j - 1, sw.k - 1 : sw.l - 1] -= 1
+        t_next[i - 1 : j - 1, k - 1 : l - 1] -= 1
         if not t_next.any():
             if nxt != A2:
                 raise InternalInvariantViolation("interval search emptied T off target")

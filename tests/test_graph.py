@@ -186,6 +186,12 @@ class TestSymCheckerboards:
         g = Graph(np.zeros((5, 5), dtype=int))
         assert find_sym_checkerboards(g, NEGATIVE) == []
 
+    @pytest.mark.parametrize("sign", [POSITIVE, NEGATIVE])
+    def test_zero_by_zero_array(self, sign):
+        empty = np.zeros((0, 0))
+        assert count_sym_checkerboards(empty, sign) == 0
+        assert graph.sym_board_pair_counts(empty, sign).shape == (0, 0)
+
     def test_unsorted_graph_raises(self):
         # path 1-2-3 labelled with its degree-2 centre last
         g = Graph(np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]]))

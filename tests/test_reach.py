@@ -569,24 +569,27 @@ class TestIntervalSearchTwin:
         assert got[1] is None or all(type(sw) is binmat.Switch for sw in got[1])
         return got[0]
 
-    @pytest.mark.parametrize("cap", [1, 5, 50, reach.DEFAULT_BFS_CAP])
-    def test_golden_pairs(self, cap):
-        for a, b in ((RING_A, RING_B), (BLOCK_A, BLOCK_B), (BACKTRACK_A, BACKTRACK_B)):
-            self.assert_twin(BinaryMatrix(a), BinaryMatrix(b), cap)
-
-    def test_golden_statuses(self):
-        assert self.assert_twin(BinaryMatrix(RING_A), BinaryMatrix(RING_B), 50) == (
-            reach.UNREACHABLE_EXHAUSTIVE
-        )
-        assert self.assert_twin(BinaryMatrix(BLOCK_A), BinaryMatrix(BLOCK_B), 1) == reach.UNKNOWN
-        assert self.assert_twin(
-            BinaryMatrix(BACKTRACK_A), BinaryMatrix(BACKTRACK_B), 50
-        ) == reach.REACHABLE_EXHAUSTIVE
+    @pytest.mark.parametrize(
+        "a, b, statuses",
+        [
+            (RING_A, RING_B, [reach.UNREACHABLE_EXHAUSTIVE] * 4),
+            (BLOCK_A, BLOCK_B, [reach.UNKNOWN] + [reach.REACHABLE_HEURISTIC] * 3),
+            (BACKTRACK_A, BACKTRACK_B, [reach.UNKNOWN] * 2 + [reach.REACHABLE_EXHAUSTIVE] * 2),
+        ],
+    )
+    def test_golden_pairs(self, a, b, statuses):
+        A, B = BinaryMatrix(a), BinaryMatrix(b)
+        # every small cap pins the count of expanded states (BACKTRACK
+        # decides at 8, and at 10 without its dead set)
+        for cap in range(1, 13):
+            self.assert_twin(A, B, cap)
+        caps = (1, 5, 50, reach.DEFAULT_BFS_CAP)
+        assert [self.assert_twin(A, B, cap) for cap in caps] == statuses
 
     @pytest.mark.parametrize("size", [5, 7])
     def test_ring_in_context(self, size):
         # every rectangle that fits RING's T lies inside the 4x4 block, and
-        # none of them carries a negative board there: no state expands
+        # none of them carries a negative board there: the start state is dead
         rng = np.random.default_rng(60 + size)
         for _ in range(3):
             A, B = embed_pair(rng, size, RING_A, RING_B)

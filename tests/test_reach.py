@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import deque
 
@@ -553,6 +554,48 @@ def positive_walk(rng, size, steps):
         boards = binmat.board_coords(bits, NEGATIVE)
         binmat.switch_bits_inplace(bits, boards[int(rng.integers(len(boards)))], POSITIVE)
     return A, BinaryMatrix(bits)
+
+
+# RING and BACKTRACK as the top-left corner of a digest pair
+DIGEST_CORNERS = (None,) * 10 + ((RING_A, RING_B), (BACKTRACK_A, BACKTRACK_B))
+
+
+def digest_pair(rng):
+    """A random pair with equal margins: a walk of 1-11 switches of either
+    sign from a random 3x3..16x16 matrix.  One pair in six has RING or
+    BACKTRACK in the top-left corner of a 7x7..11x11 context and walks only
+    on the rows and columns past it, so its T grid adds to the corner's."""
+    corner = DIGEST_CORNERS[int(rng.integers(len(DIGEST_CORNERS)))]
+    lo, hi = (3, 17) if corner is None else (7, 12)
+    p, q = (int(x) for x in rng.integers(lo, hi, size=2))
+    a = random_binary(rng, p, q).writable_bits()
+    b = a.copy()
+    walked = b
+    if corner is not None:
+        n = len(corner[0])
+        a[:n, :n], b[:n, :n] = corner
+        walked = b[n:, n:]
+    for _ in range(int(rng.integers(1, 12))):
+        sign, to = (NEGATIVE, POSITIVE) if rng.random() < 0.85 else (POSITIVE, NEGATIVE)
+        boards = binmat.board_coords(walked, sign)
+        if len(boards):
+            binmat.switch_bits_inplace(walked, boards[int(rng.integers(len(boards)))], to)
+    return BinaryMatrix(a), BinaryMatrix(b)
+
+
+def test_build_path_digest():
+    # every verdict of 300 seeded pairs, pinned as one sha256: the status,
+    # the path and the three conditions, at the cap of ``--bfs-cap 2000``
+    rng = np.random.default_rng(20)
+    digest = hashlib.sha256()
+    statuses = set()
+    for _ in range(300):
+        v = build_path(*digest_pair(rng), bfs_cap=2000)
+        path = None if v.path is None else [tuple(sw) for sw in v.path]
+        digest.update(repr((v.status, path, v.cond_i, v.cond_ii, v.cond_iii)).encode())
+        statuses.add(v.status)
+    assert set(statuses) == reach.REACHABLE_STATUSES | reach.UNREACHABLE_STATUSES | {reach.UNKNOWN}
+    assert digest.hexdigest() == "caa2d0d28aa0bef5a44fa0f5461f0835e1281dbcfa8d49389c2d30db57e65232"
 
 
 class TestIntervalSearchTwin:

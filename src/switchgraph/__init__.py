@@ -58,15 +58,12 @@ from .graph import (
 from .optimize import Trajectory, TrajectoryStep, run, sample_negative_checkerboard
 from .reach import (
     DiffMatrix,
-    PolyominoLevel,
     ReachVerdict,
     TGrid,
     build_path,
     check_conditions,
     compute_T,
     diff,
-    find_motif,
-    polyomino_levels,
     reconstruct_diff,
     validate_path,
 )

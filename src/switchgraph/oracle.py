@@ -118,15 +118,13 @@ class MatrixClassDAG:
     ``build_dag``, or a degree class of ``Graph`` members (each a
     symmetric ``BinaryMatrix``) from ``build_graph_dag``.
 
-    ``index`` maps a member's ``key()`` to its position, ``arcs[v]`` lists
-    (destination index, switch coordinate) for every positive switch
-    leaving member ``v``, in lexicographic switch order, and ``bits``
-    stacks the members' bits as one (N, p, q) array.  Sinks have no arc
-    out, sources no arc in.
+    ``arcs[v]`` lists (destination index, switch coordinate) for every
+    positive switch leaving member ``matrices[v]``, in lexicographic switch
+    order, and ``bits`` stacks the members' bits as one (N, p, q) array.
+    Sinks have no arc out, sources no arc in.
     """
 
     matrices: list[BinaryMatrix]
-    index: dict[bytes, int]
     arcs: list[list[tuple[int, Switch]]]
     bits: np.ndarray
     sources: list[int] = field(default_factory=list)
@@ -151,7 +149,6 @@ def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> 
     one chunk per 27 graphs.
     """
     n = len(members)
-    index = {m.key(): pos for pos, m in enumerate(members)}
     size = bits.shape[1] * bits.shape[2]
     as_bytes = np.dtype((np.void, size))  # int8: one byte per cell, as in key()
     keys = bits.reshape(n, size).view(as_bytes).ravel()
@@ -183,7 +180,7 @@ def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> 
         for v, dest, *coord in zip(src.tolist(), dests.tolist(), *boards[:, 1:].T.tolist()):
             arcs[v].append((dest, Switch(*coord)))
     sinks = [v for v, out in enumerate(arcs) if not out]
-    return MatrixClassDAG(members, index, arcs, bits, np.flatnonzero(~entered).tolist(), sinks)
+    return MatrixClassDAG(members, arcs, bits, np.flatnonzero(~entered).tolist(), sinks)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -431,16 +428,17 @@ class ReachabilityReport:
 
 
 def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
-    """Compare condition predicates against BFS ground truth on all ordered
-    pairs of the class; log per-difference conjecture evidence.
+    """Compare condition predicates against the ground truth of
+    ``reachability_closure`` on all ordered pairs of the class; log
+    per-difference conjecture evidence.
 
-    The answer comes from ``reachability_closure``.  T(A_b - A_a) is the
-    difference of the members' prefix sums, so condition (i) is decided
-    for all pairs (a, b) at once, in blocks of rows a; conditions (ii) and
-    (iii) depend on T alone and are evaluated once per distinct T.  The
-    result is that of one loop over a, then b (a != b): records appear in
-    the order their T first occurs, ``example_pair`` is that first pair,
-    and failures of both kinds are interleaved in (a, b) order.
+    T(A_b - A_a) is the difference of the members' prefix sums, so
+    condition (i) is decided for all pairs (a, b) at once, in blocks of rows
+    a; conditions (ii) and (iii) depend on T alone and are evaluated once
+    per distinct T, by ``reach.grid_conditions``.  The result is that of one
+    loop over a, then b (a != b): records appear in the order their T first
+    occurs, ``example_pair`` is that first pair, and failures of both kinds
+    are interleaved in (a, b) order.
     """
     mats = dag.matrices
     n = len(mats)

@@ -10,10 +10,13 @@ polyominoes P_i = cells with t >= i) are jointly sufficient:
   (ii)  every connected component of every P_i is simply connected,
   (iii) orthogonally or diagonally adjacent cells of T differ by at most 1.
 
-When (i)-(iii) hold, a directed path is built constructively by repeatedly
-locating a motif rectangle on the contour of a top-level component and
-switching the checkerboard found at its corners.  Outside that regime a
-complete depth-first search over switches that fit the remaining T decides.
+One engine reads the level sets: ``_level_components`` lists each
+4-component of P_i as a bitboard.  Condition (ii) fills the complement of
+every component.  When (i)-(iii) hold, a directed path is built
+constructively by repeatedly locating a motif rectangle on the contour of
+the first top-level component and switching the checkerboard found at its
+corners.  Outside that regime a complete depth-first search over switches
+that fit the remaining T decides.
 
 T-grid cells are 1-based: cell (i, k) corresponds to the unitary switch
 (i, i+1, k, k+1).
@@ -161,30 +164,10 @@ def reconstruct_diff(T: TGrid, p: int, q: int) -> DiffMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Polyomino levels
+# Level sets
 # ---------------------------------------------------------------------------
 
 Cell = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PolyominoLevel:
-    """Level set P_i: cells of the T-grid with coefficient >= i.
-
-    ``components`` partitions the cells under 4-adjacency, ordered by their
-    smallest cell; ``holes[c]`` counts the bounded complement regions
-    enclosed by component ``c``.
-    """
-
-    level: int
-    cells: frozenset[Cell]
-    components: tuple[frozenset[Cell], ...]
-    holes: tuple[int, ...]
-
-    @property
-    def simply_connected(self) -> bool:
-        return all(h == 0 for h in self.holes)
-
 
 # Cell sets as bitboards: a Python int with bit r * width + c for the cell
 # in row r, column c of a box, where each row has one more bit than the box
@@ -201,84 +184,23 @@ def _fill(seed: int, region: int, width: int) -> int:
         seed = grown
 
 
-def _bitboard(cells, pad: int) -> tuple[int, int, int, int, int]:
-    """(board, width, rows, top row, left column) of ``cells`` in their
-    bounding box grown by ``pad`` on every side."""
-    top = min(r for r, _ in cells) - pad
-    left = min(c for _, c in cells) - pad
-    width = max(c for _, c in cells) - left + pad + 2
-    rows = max(r for r, _ in cells) - top + pad + 1
-    board = 0
-    for r, c in cells:
-        board |= 1 << ((r - top) * width + c - left)
-    return board, width, rows, top, left
+def _level_components(values: np.ndarray, level: int):
+    """Each 4-component of the level set {t >= level}, smallest cell first.
 
-
-def _box(width: int, rows: int) -> int:
-    """Every cell of a bitboard with ``rows`` rows of ``width`` bits."""
-    ones_per_row = ((1 << rows * width) - 1) // ((1 << width) - 1)
-    return ones_per_row * ((1 << (width - 1)) - 1)
-
-
-def _components(cells: set[Cell]) -> list[frozenset[Cell]]:
-    """4-connected components of ``cells``, ordered by their smallest cell.
-
-    Each is a fill from the lowest remaining bit of the bitboard, which is
-    the smallest remaining cell.
+    A component is a bitboard of the grid padded by one cell on every side,
+    with rows of ``cols + 3`` bits (the last one is the guard).  So T cell
+    (i, k), 1-based, is bit ``i * width + k``, and the lowest bit of each
+    component is its smallest cell in row-major order.
     """
-    if not cells:
-        return []
-    board, width, _, top, left = _bitboard(cells, 0)
-    comps = []
-    while board:
-        comp = _fill(board & -board, board, width)
-        board ^= comp
-        comps.append(
-            frozenset(
-                (idx // width + top, idx % width + left)
-                for idx, bit in enumerate(bin(comp)[:1:-1])
-                if bit == "1"
-            )
-        )
-    return comps
-
-
-def count_holes(component: frozenset[Cell]) -> int:
-    """Bounded complement regions inside the component's bounding box.
-
-    The complement within the bounding box grown by one cell splits into
-    4-connected regions; the border ring is connected and lies in exactly
-    one of them, the outside, and every other region is a hole.
-    """
-    board, width, rows, _, _ = _bitboard(component, 1)
-    rest = _box(width, rows) & ~board
-    regions = 0
+    rows, cols = values.shape
+    width = cols + 3
+    padded = np.zeros((rows + 2, width), dtype=bool)
+    padded[1:-1, 1:-2] = values >= level
+    rest = int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
     while rest:
-        rest ^= _fill(rest & -rest, rest, width)
-        regions += 1
-    return regions - 1
-
-
-def _levels_of_values(values: np.ndarray) -> list[PolyominoLevel]:
-    levels = []
-    top = int(values.max()) if values.size else 0
-    for lvl in range(1, top + 1):
-        cells = {
-            (int(r) + 1, int(c) + 1) for r, c in np.argwhere(values >= lvl)
-        }
-        comps = _components(cells)
-        holes = tuple(count_holes(comp) for comp in comps)
-        levels.append(
-            PolyominoLevel(lvl, frozenset(cells), tuple(comps), holes)
-        )
-    return levels
-
-
-def polyomino_levels(T: TGrid) -> list[PolyominoLevel]:
-    """Level sets P_1 .. P_max of a non-negative T grid."""
-    if not T.nonneg:
-        raise ValueError("polyomino levels require a non-negative T grid")
-    return _levels_of_values(T.values)
+        comp = _fill(rest & -rest, rest, width)
+        rest ^= comp
+        yield comp
 
 
 def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, TGrid]:
@@ -290,11 +212,11 @@ def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, TGrid]:
 def conditions_from_T(values: np.ndarray) -> tuple[bool, bool, bool]:
     """Evaluate conditions (i), (ii), (iii) on a T grid given as an array.
 
-    (ii) uses the 4-connectivity of :func:`polyomino_levels` for the cells
-    and for the complement alike, and tests each component on its own: four
-    cells touching a fifth diagonally enclose it, yet no 4-component of
-    the four holes it.  It is decided by bitboard fills and stops at the
-    first hole.  (iii) is evaluated on interior grid cells only; the
+    (ii) uses 4-connectivity for the components of each level set (see
+    :func:`_level_components`) and for their complements alike, and tests
+    each component on its own: four cells touching a fifth diagonally
+    enclose it, yet no 4-component of the four holes it.  It is decided by
+    bitboard fills and stops at the first hole.  (iii) is evaluated on interior grid cells only; the
     zero-extended border does not participate.  This wraps
     :func:`grid_conditions`, which does the same on a stack of grids.
     """
@@ -312,22 +234,17 @@ def grid_conditions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _has_hole(values: np.ndarray) -> bool:
     """True when a component of some level set of ``values`` has a hole.
 
-    Each level set is a bitboard of the grid padded by one cell on every
-    side, so the padding ring lies outside every component: a component
-    has a hole exactly when the fill of its complement from that ring
-    misses a cell.
+    The padding ring of :func:`_level_components` lies outside every
+    component: a component has a hole exactly when the fill of its
+    complement from that ring misses a cell.
     """
     top = int(values.max()) if values.size else 0
     rows, cols = values.shape
-    padded = np.zeros((rows + 2, cols + 3), dtype=bool)  # the last column is the guard
     width = cols + 3
-    box = _box(width, rows + 2)
+    ones_per_row = ((1 << (rows + 2) * width) - 1) // ((1 << width) - 1)
+    box = ones_per_row * ((1 << (width - 1)) - 1)  # every cell but the guards
     for lvl in range(1, top + 1):
-        padded[1:-1, 1:-2] = values >= lvl
-        rest = int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
-        while rest:
-            comp = _fill(rest & -rest, rest, width)
-            rest ^= comp
+        for comp in _level_components(values, lvl):
             if _fill(1, box & ~comp, width) | comp != box:
                 return True
     return False
@@ -479,11 +396,6 @@ def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
     return best
 
 
-def find_motif(level: PolyominoLevel, component: int) -> tuple[Rect, int]:
-    """Motif rectangle for ``level.components[component]``."""
-    return find_motif_cells(level.components[component])
-
-
 def rect_to_switch(rect: Rect) -> Switch:
     """The switch whose unitary tiles are exactly the rectangle's cells."""
     i1, i2, k1, k2 = rect
@@ -549,13 +461,16 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
     cur_a = A.writable_bits()
     cur_b = A2.writable_bits()
     t = T.values.copy()
+    width = t.shape[1] + 3
     prefix: list[Switch] = []
     suffix: list[Switch] = []
     while t.any():
-        top = int(t.max())
-        cells = {(int(r) + 1, int(c) + 1) for r, c in np.argwhere(t >= top)}
-        comp = _components(cells)[0]
-        rect, _kind = find_motif_cells(comp)
+        # the top component with the smallest cell, as 1-based cells
+        comp = next(_level_components(t, int(t.max())))
+        cells = frozenset(
+            divmod(idx, width) for idx, bit in enumerate(bin(comp)[:1:-1]) if bit == "1"
+        )
+        rect, _kind = find_motif_cells(cells)
         sw = rect_to_switch(rect)
         if binmat._is_board(cur_a, sw, NEGATIVE):
             binmat.switch_bits_inplace(cur_a, sw, POSITIVE)

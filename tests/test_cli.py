@@ -1,6 +1,9 @@
 import argparse
+import ast
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,3 +602,21 @@ class TestReportConfig:
         read = {"R", "C", "D"} & set(want)
         unused = {"margins", "degrees"} - set(want) if argv[0] == "enumerate" else set()
         assert set(want) == (_option_dests(argv) - unused) | read
+
+
+def test_benchmark_trace_targets_exist():
+    # perfbench/tracing.py wraps these functions by name; read its TARGETS
+    # from the source, so that the benchmark package is never imported here
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    (targets,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in targets.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"switchgraph.{module}"), name, None))
+    ]
+    assert targets and not missing

@@ -68,8 +68,8 @@ class TestBuildDag:
         mats = oracle.enumerate_margins((1, 1), (1, 1))
         dag = oracle.build_dag(mats)
         assert dag.arc_count == 1
-        identity = dag.index[BinaryMatrix([[1, 0], [0, 1]]).key()]
-        anti = dag.index[BinaryMatrix([[0, 1], [1, 0]]).key()]
+        identity = dag.matrices.index(BinaryMatrix([[1, 0], [0, 1]]))
+        anti = dag.matrices.index(BinaryMatrix([[0, 1], [1, 0]]))
         assert dag.arcs[anti][0][0] == identity
         assert dag.sinks == [identity]
         assert dag.sources == [anti]
@@ -186,8 +186,8 @@ class TestVerifyReachability:
         dag = oracle.build_dag(mats)
         rep = oracle.verify_reachability(dag)
         assert rep.ok
-        a = dag.index[BinaryMatrix(RING_A).key()]
-        b = dag.index[BinaryMatrix(RING_B).key()]
+        a = dag.matrices.index(BinaryMatrix(RING_A))
+        b = dag.matrices.index(BinaryMatrix(RING_B))
         closure = oracle.reachability_closure(dag)
         assert not closure[a] >> b & 1  # golden pair unreachable
         # the logged evidence for that difference: condition (ii) fails
@@ -321,14 +321,14 @@ class TestComplementDuality:
         # arc u -> v in the class maps to comp(v) -> comp(u) in the complement class
         for u, out in enumerate(dag.arcs):
             for v, _ in out:
-                cu = comp_dag.index[comp_mats[u].key()]
-                cv = comp_dag.index[comp_mats[v].key()]
+                cu = comp_dag.matrices.index(comp_mats[u])
+                cv = comp_dag.matrices.index(comp_mats[v])
                 assert any(dest == cu for dest, _ in comp_dag.arcs[cv])
         # sinks map onto sources and sources onto sinks
-        assert {comp_dag.index[comp_mats[s].key()] for s in dag.sinks} == set(
+        assert {comp_dag.matrices.index(comp_mats[s]) for s in dag.sinks} == set(
             comp_dag.sources
         )
-        assert {comp_dag.index[comp_mats[s].key()] for s in dag.sources} == set(
+        assert {comp_dag.matrices.index(comp_mats[s]) for s in dag.sources} == set(
             comp_dag.sinks
         )
 

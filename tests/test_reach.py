@@ -14,9 +14,7 @@ from switchgraph.reach import (
     check_conditions,
     compute_T,
     diff,
-    find_motif,
     find_motif_cells,
-    polyomino_levels,
     reconstruct_diff,
     validate_path,
 )
@@ -230,62 +228,54 @@ class TestComputeT:
                 assert (compute_T(M).values == expect).all()
 
 
+def level_components(values, level):
+    """The components of ``reach._level_components`` as sets of 1-based
+    cells, decoded bit by bit."""
+    width = values.shape[1] + 3
+    return [
+        frozenset(divmod(idx, width) for idx in range(comp.bit_length()) if comp >> idx & 1)
+        for comp in reach._level_components(values, level)
+    ]
+
+
 class TestPolyominoLevels:
     def test_block_levels(self, block_pair):
-        T = compute_T(diff(*block_pair))
-        levels = polyomino_levels(T)
-        assert [lv.level for lv in levels] == [1, 2, 3, 4]
-        assert len(levels[0].cells) == 9 and levels[0].holes == (0,)
+        values = compute_T(diff(*block_pair)).values
+        levels = [level_components(values, lvl) for lvl in range(1, 6)]
+        assert [len(comps) for comps in levels] == [1, 1, 1, 1, 0]
+        assert len(levels[0][0]) == 9
         # X-shaped pentomino at level 2
-        assert sorted(levels[1].cells) == [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
-        assert levels[1].holes == (0,)
-        assert sorted(levels[2].cells) == [(2, 2)]
-        assert sorted(levels[3].cells) == [(2, 2)]
+        assert sorted(levels[1][0]) == [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
+        assert levels[2] == levels[3] == [{(2, 2)}]
+        assert not any(flood_fill_holes(comps[0]) for comps in levels[:4])
+        assert not reach._has_hole(values)
 
     def test_ring_has_hole(self, ring_pair):
-        T = compute_T(diff(*ring_pair))
-        levels = polyomino_levels(T)
-        assert len(levels) == 1
-        assert len(levels[0].cells) == 8
-        assert len(levels[0].components) == 1
-        assert levels[0].holes == (1,)
+        values = compute_T(diff(*ring_pair)).values
+        (comp,) = level_components(values, 1)
+        assert len(comp) == 8 and flood_fill_holes(comp) == 1
+        assert level_components(values, 2) == []
+        assert reach._has_hole(values)
 
     def test_zero_grid(self):
         A = BinaryMatrix([[1, 0], [0, 1]])
-        T = compute_T(diff(A, A))
-        assert polyomino_levels(T) == []
-
-    def test_requires_nonneg(self):
-        m = -binmat.switching_matrix((1, 2, 1, 2), 2, 2)
-        with pytest.raises(ValueError):
-            polyomino_levels(compute_T(DiffMatrix(m)))
+        values = compute_T(diff(A, A)).values
+        assert level_components(values, 1) == []
+        assert not reach._has_hole(values)
 
     def test_two_components(self):
         vals = np.array([[1, 0, 1]], dtype=np.int64)
-        levels = reach._levels_of_values(vals)
-        assert len(levels[0].components) == 2
-        assert levels[0].holes == (0, 0)
-
-    def test_count_holes_matches_flood_fill(self):
-        rng = np.random.default_rng(29)
-        checked = 0
-        for _ in range(300):
-            p, q = (int(x) for x in rng.integers(1, 8, size=2))
-            grid = rng.random((p, q)) < rng.uniform(0.3, 0.9)
-            cells = {(int(r), int(c)) for r, c in np.argwhere(grid)}
-            for comp in reach._components(cells):
-                assert reach.count_holes(comp) == flood_fill_holes(comp)
-                checked += 1
-        assert checked > 300
+        assert level_components(vals, 1) == [{(1, 1)}, {(1, 3)}]
+        assert not reach._has_hole(vals)
 
     def test_components_match_breadth_first_search(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             p, q = (int(x) for x in rng.integers(1, 10, size=2))
-            grid = rng.random((p, q)) < rng.uniform(0.2, 0.9)
-            # shifted so that cells sit at negative and positive coordinates
-            cells = {(int(r) - 3, int(c) + 2) for r, c in np.argwhere(grid)}
-            assert reach._components(cells) == reference_components(cells)
+            values = rng.integers(-1, int(rng.integers(1, 5)), size=(p, q))
+            for lvl in range(1, int(values.max()) + 1):
+                cells = {(int(r) + 1, int(c) + 1) for r, c in np.argwhere(values >= lvl)}
+                assert level_components(values, lvl) == reference_components(cells)
 
     def test_diagonal_adjacency_never_isolated(self):
         # valid differences never leave two diagonal cells without a shared
@@ -297,11 +287,11 @@ class TestPolyominoLevels:
             if pair is None:
                 continue
             done += 1
-            T = compute_T(diff(*pair))
-            if not T.nonneg:
+            values = compute_T(diff(*pair)).values
+            if (values < 0).any():
                 continue
-            for lv in polyomino_levels(T):
-                cells = lv.cells
+            for lvl in range(1, int(values.max()) + 1):
+                cells = {(int(r), int(c)) for r, c in np.argwhere(values >= lvl)}
                 for (r, c) in cells:
                     for dr, dc in ((1, 1), (1, -1)):
                         if (r + dr, c + dc) in cells:
@@ -378,22 +368,16 @@ class TestFindMotif:
         r1, r2, c1, c2 = rect
         assert all((r, c) in cells for r in range(r1, r2 + 1) for c in range(c1, c2 + 1))
 
-    def test_public_wrapper(self, block_pair):
-        T = compute_T(diff(*block_pair))
-        levels = polyomino_levels(T)
-        rect, kind = find_motif(levels[1], 0)
-        assert kind in (2, 3)
-
     def test_motif_rect_always_inside_on_random_shapes(self):
         rng = np.random.default_rng(31)
         for _ in range(80):
             pair = random_pair_by_switches(rng, 5, 5, max_steps=4)
             if pair is None:
                 continue
-            T = compute_T(diff(*pair))
-            for lv in polyomino_levels(T):
-                for comp_idx, comp in enumerate(lv.components):
-                    if lv.holes[comp_idx]:
+            values = compute_T(diff(*pair)).values
+            for lvl in range(1, int(values.max()) + 1):
+                for comp in level_components(values, lvl):
+                    if flood_fill_holes(comp):
                         continue
                     rect, kind = find_motif_cells(comp)
                     r1, r2, c1, c2 = rect

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -10,10 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchgraph import binmat, cli
-from switchgraph.binmat import BinaryMatrix
+from switchgraph import binmat, cli, graph
+from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 
-from conftest import BLOCK_A, BLOCK_B, PAIR_3X3_A, PAIR_3X3_B, RING_A, RING_B
+from conftest import (
+    BACKTRACK_A,
+    BACKTRACK_B,
+    BLOCK_A,
+    BLOCK_B,
+    PAIR_3X3_A,
+    PAIR_3X3_B,
+    RING_A,
+    RING_B,
+    random_binary,
+)
 
 
 def run_cli(capsys, *argv):
@@ -620,3 +631,78 @@ def test_benchmark_trace_targets_exist():
         if not callable(getattr(importlib.import_module(f"switchgraph.{module}"), name, None))
     ]
     assert targets and not missing
+
+
+# RING or BACKTRACK in the top-left corner of a report-digest pair
+REPORT_CORNERS = (None,) * 4 + ((RING_A, RING_B), (BACKTRACK_A, BACKTRACK_B))
+
+# the source and the sink of the 5x5 class with every margin 3
+SOURCE_5 = [[0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [1, 0, 0, 1, 1], [1, 1, 1, 0, 0], [1, 1, 1, 0, 0]]
+SINK_5 = [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]]
+
+
+def report_pair(rng):
+    """A random pair with equal margins: a walk of 0-8 switches, mostly
+    positive, from a random 3x3..8x8 matrix.  One pair in three has RING or
+    BACKTRACK in the top-left corner of a context two to four rows and
+    columns larger, and walks only on the rows and columns past it."""
+    corner = REPORT_CORNERS[int(rng.integers(len(REPORT_CORNERS)))]
+    lo = 3 if corner is None else len(corner[0]) + 2
+    p, q = (int(x) for x in rng.integers(lo, lo + 3 if corner else 9, size=2))
+    a = random_binary(rng, p, q).writable_bits()
+    b = a.copy()
+    walked = b
+    if corner is not None:
+        n = len(corner[0])
+        a[:n, :n], b[:n, :n] = corner
+        walked = b[n:, n:]
+    for _ in range(int(rng.integers(0, 9))):
+        sign, to = (NEGATIVE, POSITIVE) if rng.random() < 0.85 else (POSITIVE, NEGATIVE)
+        boards = binmat.board_coords(walked, sign)
+        if len(boards):
+            binmat.switch_bits_inplace(walked, boards[int(rng.integers(len(boards)))], to)
+    return a, b
+
+
+def test_report_digest(tmp_path, capsys, monkeypatch):
+    # the stdout bytes and exit code of 40 ``reach`` runs, ``analyze`` on
+    # three graphs and ``enumerate`` on five classes, pinned as one sha256;
+    # relative paths keep the reports' ``config`` free of the temp directory
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    statuses = set()
+
+    def run(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(repr((argv, code)).encode() + out.encode())
+        return out
+
+    rng = np.random.default_rng(18)
+    pairs = [report_pair(rng) for _ in range(39)]
+    # RING beside the 5x5 class from source to sink: the search never
+    # clears RING's T and runs out of states
+    a, b = np.zeros((2, 9, 9), dtype=np.int8)
+    a[:4, :4], b[:4, :4], a[4:, 4:], b[4:, 4:] = RING_A, RING_B, SOURCE_5, SINK_5
+    pairs.append((a, b))
+    for a, b in pairs:
+        write(tmp_path, "a.mat", a)
+        write(tmp_path, "b.mat", b)
+        statuses.add(json.loads(run("reach", "a.mat", "b.mat", "--bfs-cap", "2000"))["status"])
+    assert len(statuses) == 7
+
+    graphs = {
+        "k4.mat": K4,
+        "er.mat": graph.gen_erdos_renyi(12, 0.3, seed=7).bits,
+        "grid.mat": graph.gen_small_world(3, 0.25, seed=2).bits,
+    }
+    for name, bits in graphs.items():
+        write(tmp_path, name, bits)
+        run("analyze", name)
+
+    for margins in ("1 1\n1 1\n", "2 1 1\n1 2 1\n", "2 2 2 2\n2 2 2 2\n"):
+        (tmp_path / "m.txt").write_text(margins)
+        run("enumerate", "--margins", "m.txt")
+    for degrees in ("2,2,2,2", "3,2,2,2,1"):
+        run("enumerate", "--degrees", degrees)
+
+    assert digest.hexdigest() == "dd6faec9944b6d37a0d0e203cbc7f4f6a9b39401c9c67a18a4b10c293707315a"

@@ -36,7 +36,6 @@ from .errors import (
     MarginMismatch,
     MarginSumMismatch,
     MatrixFormatError,
-    MotifNotFound,
     NonGraphical,
     SwitchGraphError,
 )
@@ -59,7 +58,6 @@ from .optimize import Trajectory, TrajectoryStep, run, sample_negative_checkerbo
 from .reach import (
     DiffMatrix,
     ReachVerdict,
-    TGrid,
     build_path,
     check_conditions,
     compute_T,

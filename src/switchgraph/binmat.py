@@ -51,14 +51,14 @@ def as_switch(coord) -> Switch:
 
 
 class BinaryMatrix:
-    """Dense 0/1 matrix with cached row and column sums.
+    """Dense 0/1 matrix over a read-only int8 array ``bits``.
 
     Instances are immutable; switching returns a new matrix.  Code that
     needs to switch in place (the optimizer's hot loop) should work on
     ``writable_bits()`` and re-wrap at the end.
     """
 
-    __slots__ = ("bits", "row_sums", "col_sums")
+    __slots__ = ("bits",)
 
     def __init__(self, bits):
         arr = np.array(bits, dtype=np.int8)
@@ -68,26 +68,24 @@ class BinaryMatrix:
         # 0/1; np.isin is several times slower, and every from_text runs this
         if (arr.view(np.uint8) > 1).any():
             raise ValueError("matrix entries must be 0 or 1")
-        self._finish(arr)
+        arr.setflags(write=False)
+        self.bits = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BinaryMatrix":
         # Fast path for internally constructed arrays (already validated).
         obj = object.__new__(cls)
-        obj._finish(arr)
+        arr.setflags(write=False)
+        obj.bits = arr
         return obj
 
-    def _finish(self, arr: np.ndarray) -> None:
-        arr.setflags(write=False)
-        self.bits = arr
-        self.row_sums = arr.sum(axis=1, dtype=np.int64)
-        self.row_sums.setflags(write=False)
-        self.col_sums = self._column_sums(arr)
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self.bits.sum(axis=1, dtype=np.int64)
 
-    def _column_sums(self, arr: np.ndarray) -> np.ndarray:
-        sums = arr.sum(axis=0, dtype=np.int64)
-        sums.setflags(write=False)
-        return sums
+    @property
+    def col_sums(self) -> np.ndarray:
+        return self.bits.sum(axis=0, dtype=np.int64)
 
     @property
     def p(self) -> int:
@@ -174,7 +172,7 @@ def write_matrix(A: BinaryMatrix, path) -> None:
 
 
 def row_col_sums(A: BinaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return the cached margins (R, C) as plain integer tuples."""
+    """The margins (R, C) of ``A`` as plain integer tuples."""
     return tuple(int(x) for x in A.row_sums), tuple(int(x) for x in A.col_sums)
 
 

@@ -37,15 +37,9 @@ class MatrixFormatError(SwitchGraphError):
     """A matrix text file deviates from the documented format."""
 
 
-class MotifNotFound(SwitchGraphError):
-    """No contour motif was found on a simply connected polyomino.
+class InternalInvariantViolation(SwitchGraphError):
+    """A path builder, motif finder, search or sampler contradicted its
+    own invariant.
 
     This must never happen; it signals an implementation bug, not bad input.
-    """
-
-
-class InternalInvariantViolation(SwitchGraphError):
-    """A path builder, search or sampler contradicted its own invariant.
-
-    Like :class:`MotifNotFound`, this signals an implementation bug.
     """

@@ -44,10 +44,8 @@ class Graph(BinaryMatrix):
             raise ValueError("adjacency diagonal must be zero (no loops)")
         if (arr != arr.T).any():
             raise ValueError("adjacency must be symmetric")
-        self._finish(arr)
-
-    def _column_sums(self, arr: np.ndarray) -> np.ndarray:
-        return self.row_sums  # symmetric: the column sums are the row sums
+        arr.setflags(write=False)
+        self.bits = arr
 
     @property
     def adj(self) -> np.ndarray:
@@ -290,19 +288,14 @@ def sym_switch_inplace(adj: np.ndarray, coord, direction: str) -> None:
     n = adj.shape[0]
     if sw.j > n or sw.l > n:
         raise InvalidSwitch(f"switch {tuple(sw)} out of range for {n} vertices")
-    i, j, k, l = sw.i - 1, sw.j - 1, sw.k - 1, sw.l - 1
-    if direction == POSITIVE:
-        ok = adj[i, k] == 0 and adj[i, l] == 1 and adj[j, k] == 1 and adj[j, l] == 0
-    elif direction == NEGATIVE:
-        ok = adj[i, k] == 1 and adj[i, l] == 0 and adj[j, k] == 0 and adj[j, l] == 1
-    else:
+    if direction not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown direction {direction!r}")
-    if not ok:
-        raise InvalidSwitch(
-            f"no {'negative' if direction == POSITIVE else 'positive'} "
-            f"symmetric checkerboard at {tuple(sw)}"
-        )
+    # a positive switch needs a negative board and leaves a positive one
+    before = NEGATIVE if direction == POSITIVE else POSITIVE
+    if not binmat._is_board(adj, sw, before):
+        raise InvalidSwitch(f"no {before} symmetric checkerboard at {tuple(sw)}")
     # the check read all four cells, so the toggle writes known values
+    i, j, k, l = sw.i - 1, sw.j - 1, sw.k - 1, sw.l - 1
     new = 1 if direction == POSITIVE else 0
     adj[i, k] = adj[k, i] = adj[j, l] = adj[l, j] = new
     adj[i, l] = adj[l, i] = adj[j, k] = adj[k, j] = 1 - new
@@ -402,9 +395,13 @@ def spectral_radius(G: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     )
 
 
-def jacobi_eigenvalues(
-    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
+# Jacobi sweeps stop once the off-diagonal norm is at most _JACOBI_TOL
+# times max(1, largest |entry|), or after _JACOBI_MAX_SWEEPS sweeps.
+_JACOBI_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by Jacobi rotations.
 
     Deliberately independent of the power iteration (and of library
@@ -418,9 +415,9 @@ def jacobi_eigenvalues(
         raise ValueError("jacobi_eigenvalues expects a symmetric matrix")
     n = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off_part = a - np.diag(np.diagonal(a))
-        if math.sqrt(float((off_part * off_part).sum())) <= tol * scale:
+        if math.sqrt(float((off_part * off_part).sum())) <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -520,10 +517,10 @@ def gen_split_zebra(R, C) -> BinaryMatrix:
     A = binmat.from_margins(R, C)
     bits = A.writable_bits()
     while (boards := binmat.board_coords(bits, NEGATIVE)).size:
-        for i, j, k, l in (boards - 1).tolist():
-            if bits[i, l] and bits[j, k] and not (bits[i, k] or bits[j, l]):
-                bits[i, k] = bits[j, l] = 1
-                bits[i, l] = bits[j, k] = 0
+        for coord in boards.tolist():
+            sw = Switch(*coord)
+            if binmat._is_board(bits, sw, NEGATIVE):
+                binmat.switch_bits_inplace(bits, sw, POSITIVE)
     result = BinaryMatrix(bits)
     cls = binmat.classify(result)
     if cls.is_split_zebra or cls.is_split_anti_zebra:

@@ -9,34 +9,16 @@ the degree sequence is untouched, so the trajectory is a monotone walk of
 the switch order.
 
 A run keeps the table of negative boards per row pair current in a
-``graph.NegativeBoardTable``.  The table is counted once from scratch
-and, after each switch, only the row pairs touching the four switched
-rows are recounted.  Both run one kernel on one identity, for rows i < j,
-
-    N(i, j) = sum_{k<l; k,l not in {i,j}} (1-a_ik) a_jk a_il (1-a_jl),
-
-expanded into sums that matrix products give: for a set of rows, A
-times a stack of three rows per row and [Q; tril(A, -1)] times the rows,
-with Q = A o P and P_j(l) the 1s of row j left of column l.  The full
-count runs the kernel over row blocks (about 1 ms at n = 100), the
-recount on the four switched rows.  The helpers A, Q and tril(A, -1)
-change only in the switched rows, so they stay current in O(n) per step;
-they are float64 (24 n^2 bytes, 32 n^2 with the int64 table, and a row
-block of the full count about 0.5 MB more), and every value is an
-integer below n^3, which float64 holds exactly.  Every step is an exact uniform pick
-from that table, and an empty table is the sink, confirmed by one more
-full count once the table is released, so a run never holds two.
+``graph.NegativeBoardTable``, whose docstring gives the identity it counts
+with and its costs: one full count, then a recount of the row pairs that
+touch the four switched rows after each switch.  Every step is an exact
+uniform pick from that table, and an empty table is the sink, confirmed by
+one more full count once the table is released, so a run never holds two.
 
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
-fixed seed replays the trajectory byte for byte.
-
-A step does O(n) work plus two matrix products, (12 x n)(n x n) and
-(4 x n)(n x 2n), but at the sizes a dense table fits (n in the hundreds)
-its time is mostly the fixed cost of each numpy call on 4 x n arrays.
-So the sampler and the table update keep their call counts small: one
-``cumsum`` of the row totals, a Python scan of two rows, in-place
-arithmetic on shared temporaries, and scalar writes for the few helper
-entries a switch changes.
+fixed seed replays the trajectory byte for byte.  At the sizes a dense
+table fits, a step's time is mostly the fixed cost of each numpy call, so
+the sampler and the table update keep their call counts small.
 """
 
 from __future__ import annotations

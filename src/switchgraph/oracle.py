@@ -610,17 +610,22 @@ class SpectralSinkReport:
         return self.max_at_sink and self.eigenvector_order_ok
 
 
-def verify_spectral_max_at_sink(
-    dag: MatrixClassDAG, tol: float = 1e-9, vec_tol: float = 1e-7
-) -> SpectralSinkReport:
+# How far below the class maximum a spectral radius still counts as the
+# maximum, and how far a principal-eigenvector entry may fall below one of
+# smaller degree.
+_LAMBDA_TOL = 1e-9
+_EIGVEC_TOL = 1e-7
+
+
+def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
     """Check that the largest spectral radius of the degree class in
     ``dag`` (from ``build_graph_dag``, so its ``matrices`` are graphs) is
-    attained at one of its sinks, using the independent Jacobi eigensolver
-    for every member.
+    attained at one of its sinks, up to ``_LAMBDA_TOL``, using the
+    independent Jacobi eigensolver for every member.
 
     Also checks, at every global maximiser, that principal-eigenvector
     entries respect the degree order (larger degree never gets a smaller
-    entry, up to ``vec_tol``).
+    entry, up to ``_EIGVEC_TOL``).
     """
     gs = dag.matrices
     if not gs:
@@ -630,7 +635,7 @@ def verify_spectral_max_at_sink(
     sink_lams = [lams[v] for v in dag.sinks]
     max_all = max(lams)
     max_sinks = max(sink_lams) if sink_lams else float("-inf")
-    max_at_sink = bool(sink_lams) and max_sinks >= max_all - tol
+    max_at_sink = bool(sink_lams) and max_sinks >= max_all - _LAMBDA_TOL
     failures: list[str] = []
     if not max_at_sink:
         failures.append(
@@ -638,13 +643,13 @@ def verify_spectral_max_at_sink(
         )
     vec_ok = True
     for g, lam in zip(gs, lams):
-        if lam < max_all - tol:
+        if lam < max_all - _LAMBDA_TOL:
             continue
         x = spectral_radius(g).eigvec
         d = g.degrees
         for i in range(g.n):
             for j in range(g.n):
-                if d[i] > d[j] and x[i] < x[j] - vec_tol:
+                if d[i] > d[j] and x[i] < x[j] - _EIGVEC_TOL:
                     vec_ok = False
                     failures.append(
                         f"maximiser for D={D}: deg {int(d[i])}>{int(d[j])} "

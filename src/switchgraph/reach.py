@@ -30,12 +30,7 @@ import numpy as np
 
 from . import binmat
 from .binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantViolation,
-    MarginMismatch,
-    MotifNotFound,
-)
+from .errors import DimensionMismatch, InternalInvariantViolation, MarginMismatch
 
 IDENTICAL = "Identical"
 UNREACHABLE_CONDITION_I = "UnreachableConditionI"
@@ -109,56 +104,27 @@ def diff(A: BinaryMatrix, A2: BinaryMatrix) -> DiffMatrix:
     return DiffMatrix._wrap((A2.bits - A.bits).astype(np.int8))
 
 
-@dataclass(frozen=True, eq=False)
-class TGrid:
-    """Coefficients of the unitary decomposition of a difference matrix.
-
-    ``values`` has shape (p-1, q-1); entry [i-1, k-1] is the coefficient of
-    the unitary switch (i, i+1, k, k+1).  The decomposition exists over the
-    integers for every valid difference; condition (i) is ``nonneg``.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def nonneg(self) -> bool:
-        return bool((self.values >= 0).all())
-
-    @property
-    def max(self) -> int:
-        return int(self.values.max()) if self.values.size else 0
-
-    @property
-    def total(self) -> int:
-        return int(self.values.sum()) if self.values.size else 0
-
-    def tolist(self) -> list[list[int]]:
-        return self.values.tolist()
-
-
-def compute_T(M: DiffMatrix) -> TGrid:
+def compute_T(M: DiffMatrix) -> np.ndarray:
     """Unique decomposition coefficients via 2-D prefix sums.
 
+    Returns a read-only int64 array of shape (p-1, q-1) whose entry
+    [i-1, k-1] is the coefficient of the unitary switch (i, i+1, k, k+1):
     t_ik = sum of m_ab over a <= i, b <= k.  Because every row and column
     of M sums to zero, the zero-extended border relation
     m_ij = t_ij + t_(i-1)(j-1) - t_i(j-1) - t_(i-1)j holds identically.
+    Condition (i) is ``(T >= 0).all()``.
     """
     ps = M.entries.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    values = ps[: M.p - 1, : M.q - 1].copy()
-    return TGrid(values)
+    T = ps[: M.p - 1, : M.q - 1].copy()
+    T.setflags(write=False)
+    return T
 
 
-def reconstruct_diff(T: TGrid, p: int, q: int) -> DiffMatrix:
+def reconstruct_diff(T: np.ndarray) -> DiffMatrix:
     """Rebuild M from T through the four-term corner relation."""
-    if T.values.shape != (p - 1, q - 1):
-        raise DimensionMismatch(
-            f"T of shape {T.values.shape} does not fit a {p}x{q} difference"
-        )
+    p, q = T.shape[0] + 1, T.shape[1] + 1
     ext = np.zeros((p + 1, q + 1), dtype=np.int64)
-    ext[1:p, 1:q] = T.values
+    ext[1:p, 1:q] = T
     m = ext[1:, 1:] + ext[:-1, :-1] - ext[1:, :-1] - ext[:-1, 1:]
     return DiffMatrix(m.astype(np.int8))
 
@@ -203,29 +169,25 @@ def _level_components(values: np.ndarray, level: int):
         yield comp
 
 
-def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, TGrid]:
+def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, np.ndarray]:
     """Conditions (i), (ii), (iii) of a difference matrix, and its T grid."""
     T = compute_T(M)
-    return (*conditions_from_T(T.values), T)
+    cond_i, cond_ii, cond_iii = grid_conditions(T[None])
+    return bool(cond_i[0]), bool(cond_ii[0]), bool(cond_iii[0]), T
 
 
-def conditions_from_T(values: np.ndarray) -> tuple[bool, bool, bool]:
-    """Evaluate conditions (i), (ii), (iii) on a T grid given as an array.
+def grid_conditions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditions (i), (ii), (iii) of every grid of an (N, r, c) stack, as
+    three boolean arrays of length N.
 
     (ii) uses 4-connectivity for the components of each level set (see
     :func:`_level_components`) and for their complements alike, and tests
     each component on its own: four cells touching a fifth diagonally
     enclose it, yet no 4-component of the four holes it.  It is decided by
-    bitboard fills and stops at the first hole.  (iii) is evaluated on interior grid cells only; the
-    zero-extended border does not participate.  This wraps
-    :func:`grid_conditions`, which does the same on a stack of grids.
+    bitboard fills and stops at the first hole.  (iii) is evaluated on
+    interior grid cells only; the zero-extended border does not
+    participate.
     """
-    return tuple(bool(cond[0]) for cond in grid_conditions(values[None]))
-
-
-def grid_conditions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditions (i), (ii), (iii) of every grid of an (N, r, c) stack, as
-    three boolean arrays of length N; see :func:`conditions_from_T`."""
     cond_i = (values >= 0).all(axis=(-2, -1))
     cond_ii = np.array([not _has_hole(grid) for grid in values], dtype=bool)
     return cond_i, cond_ii, _condition_iii(values)
@@ -390,7 +352,7 @@ def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
         if best is None or (rect, kind) < best:
             best = (rect, kind)
     if best is None:
-        raise MotifNotFound(
+        raise InternalInvariantViolation(
             "no contour motif on a simply connected polyomino (internal bug)"
         )
     return best
@@ -407,7 +369,7 @@ def rect_to_switch(rect: Rect) -> Switch:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachVerdict:
     """Outcome of a reachability query, with certificate data.
 
@@ -421,7 +383,7 @@ class ReachVerdict:
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
-    T: TGrid
+    T: np.ndarray
     note: str = ""
 
     @property
@@ -449,7 +411,7 @@ def validate_path(A: BinaryMatrix, A2: BinaryMatrix, path) -> bool:
     return binmat.apply_path(A, path) == A2
 
 
-def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Switch]:
+def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: np.ndarray) -> list[Switch]:
     """Crop-and-switch loop for instances satisfying conditions (i)-(iii).
 
     At the top level P_max every motif rectangle's corners carry a
@@ -460,7 +422,7 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
     """
     cur_a = A.writable_bits()
     cur_b = A2.writable_bits()
-    t = T.values.copy()
+    t = T.copy()
     width = t.shape[1] + 3
     prefix: list[Switch] = []
     suffix: list[Switch] = []
@@ -494,7 +456,7 @@ def _constructive_path(A: BinaryMatrix, A2: BinaryMatrix, T: TGrid) -> list[Swit
 
 
 def _interval_search(
-    A: BinaryMatrix, A2: BinaryMatrix, T: TGrid, cap: int
+    A: BinaryMatrix, A2: BinaryMatrix, T: np.ndarray, cap: int
 ) -> tuple[str, list[Switch] | None]:
     """Depth-first search over the switches whose rectangle fits the remaining T.
 
@@ -508,7 +470,7 @@ def _interval_search(
     # frame: [state, its remaining T, next board position, switch into it].
     # Boards are relisted on each visit: a long descent keeps one list alive.
     # They stay plain (i, j, k, l) lists; only a fitting board becomes a Switch.
-    stack = [[A, T.values, 0, None]]
+    stack = [[A, T, 0, None]]
     dead: set[bytes] = set()
     expanded = 1
     while stack:

@@ -138,7 +138,7 @@ def reference_interval_search(A, A2, T, cap):
     """
     if cap < 1:
         return reach.UNKNOWN, None
-    stack = [[A, T.values, 0, None]]
+    stack = [[A, T, 0, None]]
     dead = set()
     expanded = 1
     while stack:

@@ -192,7 +192,7 @@ class TestVerifyReachability:
         assert not closure[a] >> b & 1  # golden pair unreachable
         # the logged evidence for that difference: condition (ii) fails
         M = reach.diff(mats[a], mats[b])
-        key = reach.compute_T(M).values.tobytes()
+        key = reach.compute_T(M).tobytes()
         rec = next(r for r in rep.conjecture if r.diff_key == key)
         assert rec.cond_i and not rec.cond_ii and rec.reachable_pairs == 0
 
@@ -205,7 +205,7 @@ class TestVerifyReachability:
         closure = oracle.reachability_closure(oracle.build_dag(mats))
         for a, A in enumerate(mats):
             for b, B in enumerate(mats):
-                cond_i = reach.compute_T(reach.diff(A, B)).nonneg
+                cond_i = bool((reach.compute_T(reach.diff(A, B)) >= 0).all())
                 assert bool(closure[a] >> b & 1) == cond_i, (n, a, b)
 
     def test_block_class_distance_four(self):
@@ -240,7 +240,7 @@ def reference_reachability(dag):
         for b, mb in enumerate(mats):
             if a == b:
                 continue
-            t_vals = reach.compute_T(reach.diff(ma, mb)).values
+            t_vals = reach.compute_T(reach.diff(ma, mb))
             reachable = bool(closure[a] >> b & 1)
             if not (t_vals >= 0).all():
                 if reachable:
@@ -248,7 +248,7 @@ def reference_reachability(dag):
                 continue
             key = t_vals.tobytes()
             if key not in groups:
-                _, cii, ciii = reach.conditions_from_T(t_vals)
+                _, (cii,), (ciii,) = reach.grid_conditions(t_vals[None])
                 groups[key] = [key, cii, ciii, 0, 0, (a, b)]
             rec = groups[key]
             if rec[1] and rec[2] and not reachable:

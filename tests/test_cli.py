@@ -706,3 +706,19 @@ def test_report_digest(tmp_path, capsys, monkeypatch):
         run("enumerate", "--degrees", degrees)
 
     assert digest.hexdigest() == "dd6faec9944b6d37a0d0e203cbc7f4f6a9b39401c9c67a18a4b10c293707315a"
+
+
+def test_scan_conjecture_digest(tmp_path, capsys, monkeypatch):
+    # the stdout, the --out lines and the exit code of two scans, pinned as
+    # one sha256; each seed reports two backward counterexamples with the
+    # text of both members
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for seed in ("1", "2"):
+        argv = ("scan-conjecture", "--trials", "200", "--seed", seed, "--out", f"scan{seed}.jsonl")
+        code, out, _ = run_cli(capsys, *argv)
+        lines = (tmp_path / f"scan{seed}.jsonl").read_bytes()
+        digest.update(repr((argv, code)).encode() + out.encode() + lines)
+        counterexamples = json.loads(out)["counterexamples"]
+        assert [c["kind"] for c in counterexamples] == ["backward", "backward"]
+    assert digest.hexdigest() == "8cfaa1efbace7cf82e1ee67496c40804b8d12f81edd48d3ec204ed348eeae0cf"

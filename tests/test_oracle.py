@@ -11,15 +11,35 @@ from switchgraph.graph import Graph, dense_spectral_radius, find_sym_checkerboar
 from conftest import BLOCK_A, BLOCK_B, RING_A, RING_B
 
 
-def brute_enumerate(R, C):
-    """Independent oracle: filter the full 2^(pq) space."""
-    p, q = len(R), len(C)
-    out = []
-    for bits in itertools.product([0, 1], repeat=p * q):
-        arr = np.array(bits, dtype=int).reshape(p, q)
-        if list(arr.sum(axis=1)) == list(R) and list(arr.sum(axis=0)) == list(C):
-            out.append(BinaryMatrix(arr))
-    return out
+def brute_classes(shape, margins, order_key):
+    """Every 0/1 array of ``shape`` (a (p, q) shape, or an n for graphs),
+    grouped by ``margins(bits)`` and sorted by ``order_key(bits)``."""
+    if isinstance(shape, int):  # symmetric, zero diagonal
+        n = shape
+        upper = list(zip(*np.triu_indices(n, 1)))
+        space = []
+        for edges in itertools.product([0, 1], repeat=len(upper)):
+            adj = np.zeros((n, n), dtype=np.int8)
+            for (i, j), e in zip(upper, edges):
+                adj[i, j] = adj[j, i] = e
+            space.append(adj)
+    else:
+        space = [np.array(bits, dtype=np.int8).reshape(shape)
+                 for bits in itertools.product([0, 1], repeat=shape[0] * shape[1])]
+    classes = {}
+    for bits in space:
+        classes.setdefault(margins(bits), []).append(bits)
+    return {key: sorted(members, key=order_key) for key, members in classes.items()}
+
+
+def row_column_sets(bits):
+    # the enumerator's order: lexicographic in each row's column set
+    return [np.flatnonzero(row).tolist() for row in bits]
+
+
+def later_neighbours(adj):
+    # the degree enumerator's order: lexicographic in each vertex's later neighbours
+    return [[u for u in np.flatnonzero(row).tolist() if u > v] for v, row in enumerate(adj)]
 
 
 class TestEnumerateMargins:
@@ -39,16 +59,17 @@ class TestEnumerateMargins:
         assert BinaryMatrix(RING_B) in mats
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        for _ in range(15):
-            p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            arr = (rng.random((p, q)) < 0.5).astype(int)
-            R = [int(x) for x in arr.sum(axis=1)]
-            C = [int(x) for x in arr.sum(axis=0)]
+        # the exact sequence, not only the set: member indices are the arcs'
+        # ends, the sources, the sinks and every report's pair
+        margins = lambda bits: (tuple(bits.sum(axis=1).tolist()), tuple(bits.sum(axis=0).tolist()))
+        brute = {}
+        for R, C in oracle.margin_space(3, 3, 3):
+            shape = (len(R), len(C))
+            if shape not in brute:
+                brute[shape] = brute_classes(shape, margins, row_column_sets)
             ours = oracle.enumerate_margins(R, C)
-            brute = brute_enumerate(R, C)
-            assert sorted(m.key() for m in ours) == sorted(m.key() for m in brute)
-            assert len(set(m.key() for m in ours)) == len(ours)
+            expected = brute[shape].get((R, C), [])
+            assert [m.key() for m in ours] == [bits.tobytes() for bits in expected], (R, C)
 
     def test_infeasible_empty(self):
         # column 1 demands 3 ones but the only nonzero rows are 1 and 2
@@ -383,6 +404,14 @@ class TestDegreeClasses:
             assert tuple(g.degrees) == (3, 2, 2, 2, 1)
         keys = {g.key() for g in graphs}
         assert len(keys) == len(graphs)
+
+    def test_matches_brute_force(self):
+        degrees = lambda adj: tuple(adj.sum(axis=1).tolist())
+        for n in range(1, 6):
+            brute = brute_classes(n, degrees, later_neighbours)
+            for D in oracle.graphical_sequences(n):
+                ours = oracle.enumerate_degree_class(list(D))
+                assert [g.key() for g in ours] == [adj.tobytes() for adj in brute[D]], D
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):

@@ -317,7 +317,7 @@ def _cmd_enumerate(args) -> int:
             raise _InputError(f"bad degree list: {exc}", EXIT_DATA) from exc
         members = oracle.iter_degree_class(args.D)
     try:
-        members = list(itertools.islice(members, args.max_states + 1))
+        members = np.array(list(itertools.islice(members, args.max_states + 1)), dtype=np.int8)
     except NonGraphical as exc:
         _emit(args, error=str(exc))
         return EXIT_NEGATIVE
@@ -327,7 +327,7 @@ def _cmd_enumerate(args) -> int:
     if len(members) > args.max_states:
         _emit(args, error="class larger than --max-states")
         return EXIT_UNKNOWN
-    if not members:  # a graphical D always has a member
+    if not len(members):  # a graphical D always has a member
         _emit(args, count=0, error="infeasible margins")
         return EXIT_NEGATIVE
     if by_margins:
@@ -403,8 +403,8 @@ def _cmd_scan_conjecture(args) -> int:
                         "R": R,
                         "C": C,
                         "kind": "forward" if rec.forward_counterexample else "backward",
-                        "A": dag.matrices[a].to_text(),
-                        "A2": dag.matrices[b].to_text(),
+                        "A": BinaryMatrix(dag.bits[a]).to_text(),
+                        "A2": BinaryMatrix(dag.bits[b]).to_text(),
                     }
                 )
             lines.append(

@@ -29,12 +29,15 @@ from .graph import Graph, dense_spectral_radius, spectral_radius, sym_board_coor
 # ---------------------------------------------------------------------------
 
 
-def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[BinaryMatrix]:
-    """All binary matrices with row sums R and column sums C, lexicographic.
+def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndarray]:
+    """All binary matrices with row sums R and column sums C, each a new
+    (p, q) int8 array.
 
-    Row-wise backtracking: each row picks a column subset of the right
-    size, pruning on remaining column demand.  Yields nothing when the
-    margins are infeasible.
+    Row-wise backtracking into one running array: each row picks a column
+    subset of the right size, pruning on remaining column demand.  Members
+    come lexicographically in their rows' column sets: by row 0's sorted
+    tuple of columns, then row 1's, and so on (not in byte order).  Yields
+    nothing when the margins are infeasible.
     """
     R = [int(x) for x in R]
     C = [int(x) for x in C]
@@ -46,39 +49,35 @@ def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[BinaryM
     if p == 0 or q == 0:
         return
     rem = C[:]
-    rows: list[tuple[int, ...]] = []
+    bits = np.zeros((p, q), dtype=np.int8)
 
-    def feasible(level: int) -> bool:
-        rows_left = p - level
-        return all(r <= rows_left for r in rem)
-
-    def rec(level: int) -> Iterator[BinaryMatrix]:
-        if level == p:
-            if all(r == 0 for r in rem):
-                arr = np.zeros((p, q), dtype=np.int8)
-                for i, cols in enumerate(rows):
-                    arr[i, list(cols)] = 1
-                yield BinaryMatrix._wrap(arr)
+    def rec(level: int) -> Iterator[np.ndarray]:
+        if level == p:  # the prune left every column's demand at 0
+            yield bits.copy()
             return
-        need = R[level]
-        candidates = [j for j in range(q) if rem[j] > 0]
-        if need > len(candidates):
-            return
-        for combo in itertools.combinations(candidates, need):
-            for j in combo:
+        for combo in itertools.combinations([j for j in range(q) if rem[j]], R[level]):
+            cols = list(combo)
+            for j in cols:
                 rem[j] -= 1
-            rows.append(combo)
-            if feasible(level + 1):
+            bits[level, cols] = 1
+            if max(rem) < p - level:  # no column needs more rows than are left
                 yield from rec(level + 1)
-            rows.pop()
-            for j in combo:
+            bits[level, cols] = 0
+            for j in cols:
                 rem[j] += 1
 
     yield from rec(0)
 
 
-def enumerate_margins(R, C) -> list[BinaryMatrix]:
-    return list(iter_margin_matrices(R, C))
+def _read_only_stack(members: list[np.ndarray], p: int, q: int) -> np.ndarray:
+    stack = np.array(members, dtype=np.int8).reshape(len(members), p, q)
+    stack.setflags(write=False)
+    return stack
+
+
+def enumerate_margins(R, C) -> np.ndarray:
+    """The class as one read-only (N, p, q) stack, in the iterator's order."""
+    return _read_only_stack(list(iter_margin_matrices(R, C)), len(R), len(C))
 
 
 def count_margin_class(R, C, cap: int | None = None) -> int | None:
@@ -114,19 +113,17 @@ def margin_space(max_p: int, max_q: int, max_entry: int) -> Iterator[tuple[tuple
 
 @dataclass
 class MatrixClassDAG:
-    """Explicit switch order on one whole class: a margin class from
-    ``build_dag``, or a degree class of ``Graph`` members (each a
-    symmetric ``BinaryMatrix``) from ``build_graph_dag``.
+    """Explicit switch order on one whole class, whose members are the
+    (N, p, q) 0/1 stack ``bits``: a margin class from ``build_dag``, or a
+    degree class of adjacency matrices (N, n, n) from ``build_graph_dag``.
 
     ``arcs[v]`` lists (destination index, switch coordinate) for every
-    positive switch leaving member ``matrices[v]``, in lexicographic switch
-    order, and ``bits`` stacks the members' bits as one (N, p, q) array.
-    Sinks have no arc out, sources no arc in.
+    positive switch leaving member ``bits[v]``, in lexicographic switch
+    order.  Sinks have no arc out, sources no arc in.
     """
 
-    matrices: list[BinaryMatrix]
-    arcs: list[list[tuple[int, Switch]]]
     bits: np.ndarray
+    arcs: list[list[tuple[int, Switch]]]
     sources: list[int] = field(default_factory=list)
     sinks: list[int] = field(default_factory=list)
 
@@ -135,7 +132,7 @@ class MatrixClassDAG:
         return sum(len(a) for a in self.arcs)
 
 
-def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> MatrixClassDAG:
+def _class_dag(bits: np.ndarray, list_boards, mirrored: bool) -> MatrixClassDAG:
     """Arcs over a whole class from its stacked ``bits``.
 
     ``list_boards(stack)`` lists the negative boards of a stack of members
@@ -148,17 +145,17 @@ def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> 
     class with p, q <= 4 is one chunk, and a degree class with n = 7 is
     one chunk per 27 graphs.
     """
-    n = len(members)
+    n = len(bits)
     size = bits.shape[1] * bits.shape[2]
-    as_bytes = np.dtype((np.void, size))  # int8: one byte per cell, as in key()
+    as_bytes = np.dtype((np.void, size))  # int8: one byte per cell, row-major
     keys = bits.reshape(n, size).view(as_bytes).ravel()
     order = np.argsort(keys)
     ordered = keys[order]
-    arcs: list[list[tuple[int, Switch]]] = [[] for _ in members]
+    arcs: list[list[tuple[int, Switch]]] = [[] for _ in range(n)]
     entered = np.zeros(n, dtype=bool)
     # per member the lister's mask has size**2 cells and finds at most
     # size**2 / 4 boards of 40 bytes, so 16 * size**2 bytes bound its scratch
-    step = max(1, binmat._BLOCK_CELLS // (16 * size * size))
+    step = max(1, binmat._BLOCK_CELLS // (16 * max(size, 1) ** 2))
     for start in range(0, n, step):
         boards = list_boards(bits[start : start + step])
         src, i, j, k, l = (boards - (-start, 1, 1, 1, 1)).T
@@ -180,7 +177,7 @@ def _class_dag(members: list, bits: np.ndarray, list_boards, mirrored: bool) -> 
         for v, dest, *coord in zip(src.tolist(), dests.tolist(), *boards[:, 1:].T.tolist()):
             arcs[v].append((dest, Switch(*coord)))
     sinks = [v for v, out in enumerate(arcs) if not out]
-    return MatrixClassDAG(members, arcs, bits, np.flatnonzero(~entered).tolist(), sinks)
+    return MatrixClassDAG(bits, arcs, np.flatnonzero(~entered).tolist(), sinks)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,25 +189,26 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return distinct.view(rows.dtype).reshape(-1, rows.shape[1]), first, label.ravel()
 
 
-def _stack(members: list) -> np.ndarray:
-    if not members:
-        return np.zeros((0, 1, 1), dtype=np.int8)
-    return np.stack([m.bits for m in members])
+def _int8_stack(stack) -> np.ndarray:
+    """``stack`` as int8, once it is checked to be an (N, p, q) 0/1 stack."""
+    arr = np.asarray(stack)
+    if arr.ndim != 3 or ((arr != 0) & (arr != 1)).any():
+        raise ValueError(f"expected an (N, p, q) stack of 0/1 entries, got shape {arr.shape}")
+    return arr.astype(np.int8, copy=False)
 
 
-def build_dag(matrices: Sequence[BinaryMatrix]) -> MatrixClassDAG:
-    """Arcs from exhaustive checkerboard enumeration over a whole class."""
-    mats = list(matrices)
-    if len({(m.row_sums.tobytes(), m.col_sums.tobytes()) for m in mats}) > 1:
+def build_dag(stack: np.ndarray) -> MatrixClassDAG:
+    """Arcs from exhaustive checkerboard enumeration over a whole class,
+    the (N, p, q) 0/1 ``stack``."""
+    bits = _int8_stack(stack)
+    if any((sums != sums[:1]).any() for sums in (bits.sum(axis=1), bits.sum(axis=2))):
         raise MarginSumMismatch("matrices do not share margins")
-    return _class_dag(
-        mats, _stack(mats), lambda part: binmat.board_coords(part, NEGATIVE), mirrored=False
-    )
+    return _class_dag(bits, lambda part: binmat.board_coords(part, NEGATIVE), mirrored=False)
 
 
 def topological_order(dag: MatrixClassDAG) -> list[int] | None:
     """Kahn's algorithm; None when a cycle exists."""
-    n = len(dag.matrices)
+    n = len(dag.bits)
     indeg = [0] * n
     for out in dag.arcs:
         for dest, _ in out:
@@ -228,7 +226,7 @@ def topological_order(dag: MatrixClassDAG) -> list[int] | None:
 
 
 def underlying_connected(dag: MatrixClassDAG) -> bool:
-    n = len(dag.matrices)
+    n = len(dag.bits)
     if n == 0:
         return True
     neigh: list[set[int]] = [set() for _ in range(n)]
@@ -252,7 +250,7 @@ def reachability_closure(dag: MatrixClassDAG) -> list[int]:
     order = topological_order(dag)
     if order is None:
         raise ValueError("closure of a cyclic graph requested")
-    closure = [0] * len(dag.matrices)
+    closure = [0] * len(dag.bits)
     for v in reversed(order):
         mask = 1 << v
         for dest, _ in dag.arcs[v]:
@@ -332,21 +330,20 @@ def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
     # is nested once rows and columns are ordered by non-increasing sums.
     free = set(dag.sinks).intersection(dag.sources)
     singleton_nested = "pass"
-    if len(dag.matrices) == 1:
+    if len(dag.bits) == 1:
         if not free:
             singleton_nested = "fail"
             failures.append("singleton class whose member has checkerboards")
         else:
-            m = dag.matrices[0]
-            row_order = np.argsort(-m.row_sums, kind="stable")
-            col_order = np.argsort(-m.col_sums, kind="stable")
-            sorted_bits = m.bits[np.ix_(row_order, col_order)]
-            if not binmat.is_nested(sorted_bits):
+            m = dag.bits[0]
+            row_order = np.argsort(-m.sum(axis=1), kind="stable")
+            col_order = np.argsort(-m.sum(axis=0), kind="stable")
+            if not binmat.is_nested(m[np.ix_(row_order, col_order)]):
                 singleton_nested = "fail"
                 failures.append("singleton member not nested after degree reordering")
     elif free:
         singleton_nested = "fail"
-        failures.append(f"checkerboard-free member in a class of {len(dag.matrices)}")
+        failures.append(f"checkerboard-free member in a class of {len(dag.bits)}")
 
     return DagStructureReport(
         acyclic, connected, potential_law, unique_sink, unique_source,
@@ -440,13 +437,11 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     occurs, ``example_pair`` is that first pair, and failures of both kinds
     are interleaved in (a, b) order.
     """
-    mats = dag.matrices
-    n = len(mats)
+    n, p, q = dag.bits.shape
     if n < 2:
         return ReachabilityReport(0, True, True)
     closure = reachability_closure(dag)
-    margins = binmat.row_col_sums(mats[0])
-    _, p, q = dag.bits.shape
+    margins = (tuple(dag.bits[0].sum(axis=1).tolist()), tuple(dag.bits[0].sum(axis=0).tolist()))
     cells = (p - 1) * (q - 1)
     psums = dag.bits.astype(np.int64).cumsum(axis=1).cumsum(axis=2)[:, : p - 1, : q - 1]
     # prefix sums and every entry of T lie in [-pq, pq]: the smallest signed
@@ -541,11 +536,17 @@ def is_graphical(D: Sequence[int]) -> bool:
     return True
 
 
-def iter_degree_class(D: Sequence[int]) -> Iterator[Graph]:
-    """All labelled simple graphs whose degree vector is exactly D.
+def iter_degree_class(D: Sequence[int]) -> Iterator[np.ndarray]:
+    """All labelled simple graphs whose degree vector is exactly D, each a
+    new (n, n) int8 adjacency matrix.
 
-    D must be non-increasing (the degree-sorted convention the switch sign
-    relies on).  Raises :class:`NonGraphical` for unrealisable sequences.
+    Vertex-wise backtracking into one running matrix: each vertex in turn
+    picks the later vertices it still needs as neighbours.  Members come
+    lexicographically in each vertex's later neighbours: by vertex 0's
+    sorted tuple of neighbours after it, then vertex 1's, and so on (not
+    in byte order).  D must be non-increasing (the degree-sorted
+    convention the switch sign relies on).  Raises :class:`NonGraphical`
+    for unrealisable sequences.
     """
     D = [int(x) for x in D]
     if any(D[i] < D[i + 1] for i in range(len(D) - 1)):
@@ -556,11 +557,11 @@ def iter_degree_class(D: Sequence[int]) -> Iterator[Graph]:
     adj = np.zeros((n, n), dtype=np.int8)
     rem = D[:]
 
-    def rec(v: int) -> Iterator[Graph]:
+    def rec(v: int) -> Iterator[np.ndarray]:
         while v < n and rem[v] == 0:
             v += 1
         if v == n:
-            yield Graph._wrap(adj.copy())
+            yield adj.copy()
             return
         partners = [u for u in range(v + 1, n) if rem[u] > 0]
         if rem[v] > len(partners):
@@ -580,18 +581,22 @@ def iter_degree_class(D: Sequence[int]) -> Iterator[Graph]:
     yield from rec(0)
 
 
-def enumerate_degree_class(D: Sequence[int]) -> list[Graph]:
-    return list(iter_degree_class(D))
+def enumerate_degree_class(D: Sequence[int]) -> np.ndarray:
+    """The class as one read-only (N, n, n) stack, in the iterator's order."""
+    return _read_only_stack(list(iter_degree_class(D)), len(D), len(D))
 
 
-def build_graph_dag(graphs: Sequence[Graph]) -> MatrixClassDAG:
-    """Directed switch graph on a whole degree class: the arcs are the
-    symmetric switches, and ``matrices`` are the class's graphs."""
-    gs = list(graphs)
-    bits = _stack(gs)
+def build_graph_dag(stack: np.ndarray) -> MatrixClassDAG:
+    """Directed switch graph on a whole degree class, the (N, n, n) stack
+    of its adjacency matrices: the arcs are the symmetric switches."""
+    bits = _int8_stack(stack)
+    if bits.shape[1] != bits.shape[2] or (bits != bits.transpose(0, 2, 1)).any():
+        raise ValueError("adjacency must be square and symmetric")
+    if bits.diagonal(axis1=1, axis2=2).any():
+        raise ValueError("adjacency diagonal must be zero (no loops)")
     if (np.diff(bits.sum(axis=2), axis=1) > 0).any():
         raise ValueError("graph operations expect degree-sorted vertices")
-    return _class_dag(gs, bits, lambda part: sym_board_coords(part, NEGATIVE), mirrored=True)
+    return _class_dag(bits, lambda part: sym_board_coords(part, NEGATIVE), mirrored=True)
 
 
 @dataclass
@@ -619,19 +624,18 @@ _EIGVEC_TOL = 1e-7
 
 def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
     """Check that the largest spectral radius of the degree class in
-    ``dag`` (from ``build_graph_dag``, so its ``matrices`` are graphs) is
-    attained at one of its sinks, up to ``_LAMBDA_TOL``, using the
-    independent Jacobi eigensolver for every member.
+    ``dag`` (from ``build_graph_dag``, so its ``bits`` are adjacency
+    matrices) is attained at one of its sinks, up to ``_LAMBDA_TOL``, using
+    the independent Jacobi eigensolver for every member.
 
     Also checks, at every global maximiser, that principal-eigenvector
     entries respect the degree order (larger degree never gets a smaller
     entry, up to ``_EIGVEC_TOL``).
     """
-    gs = dag.matrices
-    if not gs:
+    if not len(dag.bits):
         raise ValueError("empty degree class")
-    D = tuple(int(x) for x in gs[0].degrees)
-    lams = [dense_spectral_radius(g.adj) for g in gs]
+    D = tuple(dag.bits[0].sum(axis=1).tolist())
+    lams = [dense_spectral_radius(adj) for adj in dag.bits]
     sink_lams = [lams[v] for v in dag.sinks]
     max_all = max(lams)
     max_sinks = max(sink_lams) if sink_lams else float("-inf")
@@ -642,13 +646,13 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
             f"max lambda {max_all} vs best sink {max_sinks} for D={D}"
         )
     vec_ok = True
-    for g, lam in zip(gs, lams):
+    for adj, lam in zip(dag.bits, lams):
         if lam < max_all - _LAMBDA_TOL:
             continue
-        x = spectral_radius(g).eigvec
-        d = g.degrees
-        for i in range(g.n):
-            for j in range(g.n):
+        x = spectral_radius(Graph(adj)).eigvec
+        d = adj.sum(axis=1)
+        for i in range(len(adj)):
+            for j in range(len(adj)):
                 if d[i] > d[j] and x[i] < x[j] - _EIGVEC_TOL:
                     vec_ok = False
                     failures.append(
@@ -657,7 +661,7 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
                     )
     return SpectralSinkReport(
         degree_sequence=D,
-        class_size=len(gs),
+        class_size=len(dag.bits),
         sink_count=len(dag.sinks),
         max_lambda=max_all,
         max_lambda_at_sinks=max_sinks,

@@ -98,6 +98,12 @@ def random_binary(rng: np.random.Generator, p: int, q: int, density=0.5) -> Bina
     return BinaryMatrix((rng.random((p, q)) < density).astype(int))
 
 
+def member_index(stack: np.ndarray, bits) -> int:
+    """Index of the member ``bits`` in an (N, p, q) class stack."""
+    (index,) = np.flatnonzero((stack == np.asarray(bits)).all(axis=(1, 2)))
+    return int(index)
+
+
 def reference_sym_board_pair_counts(adj, sign):
     """Boards of one sign per row pair, by a blocked prefix-sum scan.
 

@@ -74,7 +74,7 @@ def class_digest_record(R, C, dag, srep, rrep) -> bytes:
     record = {
         "R": list(R),
         "C": list(C),
-        "count": len(dag.matrices),
+        "count": len(dag.bits),
         "arcs": arc_lists(dag),
         "sources": dag.sources,
         "sinks": dag.sinks,
@@ -134,7 +134,7 @@ def margin_sweep() -> SweepResult:
     t0 = time.perf_counter()
     for R, C in oracle.margin_space(4, 4, 3):
         mats = oracle.enumerate_margins(R, C)
-        if not mats:
+        if not len(mats):
             continue
         out.classes += 1
         dag = oracle.build_dag(mats)
@@ -152,7 +152,7 @@ def margin_sweep() -> SweepResult:
             if rec.forward_counterexample:
                 a, b = rec.example_pair
                 out.forward_counterexamples.append(
-                    (R, C, dag.matrices[a].to_text(), dag.matrices[b].to_text())
+                    (R, C, BinaryMatrix(dag.bits[a]).to_text(), BinaryMatrix(dag.bits[b]).to_text())
                 )
             if rec.backward_counterexample:
                 out.backward_records += 1

@@ -109,7 +109,7 @@ class TestSampler:
     @pytest.mark.parametrize(
         "graphs",
         [
-            pytest.param(lambda D=D: oracle.enumerate_degree_class(list(D)), id=f"D={D}")
+            pytest.param(lambda D=D: map(Graph, oracle.enumerate_degree_class(list(D))), id=f"D={D}")
             for D in ((2, 2, 2, 2, 2), (3, 2, 2, 2, 2, 1), (3, 3, 3, 2, 2, 1),
                       (4, 3, 3, 2, 2, 2, 2), (3, 3, 3, 3, 2, 2, 2))
         ]

@@ -8,7 +8,7 @@ from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 from switchgraph.errors import InternalInvariantViolation, MarginSumMismatch, NonGraphical
 from switchgraph.graph import Graph, dense_spectral_radius, find_sym_checkerboards, sym_switch_inplace
 
-from conftest import BLOCK_A, BLOCK_B, RING_A, RING_B
+from conftest import BLOCK_A, BLOCK_B, RING_A, RING_B, member_index
 
 
 def brute_classes(shape, margins, order_key):
@@ -45,18 +45,17 @@ def later_neighbours(adj):
 class TestEnumerateMargins:
     def test_permutation_class(self):
         mats = oracle.enumerate_margins((1, 1), (1, 1))
-        assert len(mats) == 2
-        assert BinaryMatrix([[1, 0], [0, 1]]) in mats
-        assert BinaryMatrix([[0, 1], [1, 0]]) in mats
+        assert mats.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        assert mats.dtype == np.int8 and not mats.flags.writeable
 
     def test_forced_class(self):
         mats = oracle.enumerate_margins((2, 2), (2, 2))
-        assert mats == [BinaryMatrix([[1, 1], [1, 1]])]
+        assert mats.tolist() == [[[1, 1], [1, 1]]]
 
     def test_ring_class_contains_golden_pair(self):
         mats = oracle.enumerate_margins((1, 3, 3, 1), (3, 1, 1, 3))
-        assert BinaryMatrix(RING_A) in mats
-        assert BinaryMatrix(RING_B) in mats
+        member_index(mats, RING_A)
+        member_index(mats, RING_B)
 
     def test_matches_brute_force(self):
         # the exact sequence, not only the set: member indices are the arcs'
@@ -69,11 +68,11 @@ class TestEnumerateMargins:
                 brute[shape] = brute_classes(shape, margins, row_column_sets)
             ours = oracle.enumerate_margins(R, C)
             expected = brute[shape].get((R, C), [])
-            assert [m.key() for m in ours] == [bits.tobytes() for bits in expected], (R, C)
+            assert [m.tobytes() for m in ours] == [bits.tobytes() for bits in expected], (R, C)
 
     def test_infeasible_empty(self):
         # column 1 demands 3 ones but the only nonzero rows are 1 and 2
-        assert oracle.enumerate_margins((2, 2, 0), (3, 1, 0)) == []
+        assert oracle.enumerate_margins((2, 2, 0), (3, 1, 0)).shape == (0, 3, 3)
 
     def test_sum_mismatch(self):
         with pytest.raises(MarginSumMismatch):
@@ -89,12 +88,12 @@ class TestBuildDag:
         mats = oracle.enumerate_margins((1, 1), (1, 1))
         dag = oracle.build_dag(mats)
         assert dag.arc_count == 1
-        identity = dag.matrices.index(BinaryMatrix([[1, 0], [0, 1]]))
-        anti = dag.matrices.index(BinaryMatrix([[0, 1], [1, 0]]))
+        identity = member_index(dag.bits, [[1, 0], [0, 1]])
+        anti = member_index(dag.bits, [[0, 1], [1, 0]])
         assert dag.arcs[anti][0][0] == identity
         assert dag.sinks == [identity]
         assert dag.sources == [anti]
-        assert binmat.classify(mats[identity]).is_split_zebra
+        assert binmat.classify(BinaryMatrix(mats[identity])).is_split_zebra
 
     def test_singleton(self):
         dag = oracle.build_dag(oracle.enumerate_margins((2, 2), (2, 2)))
@@ -104,7 +103,7 @@ class TestBuildDag:
     def test_sinks_match_checkerboard_freeness(self):
         mats = oracle.enumerate_margins((2, 1, 1), (2, 1, 1))
         dag = oracle.build_dag(mats)
-        for v, mat in enumerate(mats):
+        for v, mat in enumerate(map(BinaryMatrix, mats)):
             neg = binmat.find_checkerboards(mat, NEGATIVE)
             pos = binmat.find_checkerboards(mat, POSITIVE)
             assert (v in dag.sinks) == (not neg)
@@ -124,8 +123,8 @@ class TestArcDestinations:
         # chunk: members per chunk of the arc builder (None: the default)
         if chunk is not None:
             monkeypatch.setattr(binmat, "_BLOCK_CELLS", chunk * 16 * (len(R) * len(C)) ** 2)
-        mats = oracle.enumerate_margins(R, C)
-        dag = oracle.build_dag(mats)
+        mats = [BinaryMatrix(bits) for bits in oracle.enumerate_margins(R, C)]
+        dag = oracle.build_dag(oracle.enumerate_margins(R, C))
         for v, mat in enumerate(mats):
             boards = [cb.coord for cb in binmat.find_checkerboards(mat, NEGATIVE)]
             assert [sw for _, sw in dag.arcs[v]] == boards
@@ -141,28 +140,54 @@ class TestArcDestinations:
     def test_degree_class(self, D, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(binmat, "_BLOCK_CELLS", chunk * 16 * len(D) ** 4)
-        graphs = oracle.enumerate_degree_class(list(D))
-        dag = oracle.build_graph_dag(graphs)
+        stack = oracle.enumerate_degree_class(list(D))
+        dag = oracle.build_graph_dag(stack)
+        graphs = [Graph(adj) for adj in stack]
         for v, g in enumerate(graphs):
             assert [sw for _, sw in dag.arcs[v]] == find_sym_checkerboards(g, NEGATIVE)
             for dest, sw in dag.arcs[v]:
                 adj = g.writable_bits()
                 sym_switch_inplace(adj, sw, POSITIVE)
-                assert (adj == graphs[dest].adj).all()
+                assert (adj == stack[dest]).all()
         assert dag.sources == [v for v, g in enumerate(graphs)
                                if not find_sym_checkerboards(g, POSITIVE)]
 
     def test_member_outside_the_class_is_an_invariant_violation(self):
         mats = oracle.enumerate_margins((1, 1), (1, 1))
-        anti = next(m for m in mats if binmat.find_checkerboards(m, NEGATIVE))
+        anti = mats[[member_index(mats, [[0, 1], [1, 0]])]]
         with pytest.raises(InternalInvariantViolation):
-            oracle.build_dag([anti])
+            oracle.build_dag(anti)
+
+    def test_members_with_other_margins_raise(self):
+        mixed = np.concatenate([oracle.enumerate_margins((1, 1), (1, 1)),
+                                oracle.enumerate_margins((2, 0), (1, 1))])
+        with pytest.raises(MarginSumMismatch):
+            oracle.build_dag(mixed)
 
     def test_unsorted_degree_class_raises(self):
-        graphs = oracle.enumerate_degree_class([2, 1, 1])
-        flipped = [Graph(g.adj[::-1, ::-1]) for g in graphs]
-        with pytest.raises(ValueError):
-            oracle.build_graph_dag(flipped)
+        stack = oracle.enumerate_degree_class([2, 1, 1])
+        with pytest.raises(ValueError, match="degree-sorted"):
+            oracle.build_graph_dag(stack[:, ::-1, ::-1])
+
+    @pytest.mark.parametrize("build", [oracle.build_dag, oracle.build_graph_dag])
+    def test_input_that_is_not_a_stack_raises(self, build):
+        stack = oracle.enumerate_degree_class([2, 2, 1, 1])
+        two = stack.copy()
+        two[0, 0, 1] = two[0, 1, 0] = 2
+        for bad in (stack[0], two):
+            with pytest.raises(ValueError, match="stack of 0/1"):
+                build(bad)
+
+    def test_adjacency_that_is_not_a_graph_raises(self):
+        stack = oracle.enumerate_degree_class([2, 2, 1, 1])
+        asymmetric = stack.copy()
+        asymmetric[:, 0, 3] = 1 - asymmetric[:, 0, 3]
+        looped = stack.copy()
+        looped[:, 0, 0] = 1
+        with pytest.raises(ValueError, match="symmetric"):
+            oracle.build_graph_dag(asymmetric)
+        with pytest.raises(ValueError, match="no loops"):
+            oracle.build_graph_dag(looped)
 
 
 class TestVerifyDagStructure:
@@ -207,12 +232,12 @@ class TestVerifyReachability:
         dag = oracle.build_dag(mats)
         rep = oracle.verify_reachability(dag)
         assert rep.ok
-        a = dag.matrices.index(BinaryMatrix(RING_A))
-        b = dag.matrices.index(BinaryMatrix(RING_B))
+        a = member_index(dag.bits, RING_A)
+        b = member_index(dag.bits, RING_B)
         closure = oracle.reachability_closure(dag)
         assert not closure[a] >> b & 1  # golden pair unreachable
         # the logged evidence for that difference: condition (ii) fails
-        M = reach.diff(mats[a], mats[b])
+        M = reach.diff(BinaryMatrix(mats[a]), BinaryMatrix(mats[b]))
         key = reach.compute_T(M).tobytes()
         rec = next(r for r in rep.conjecture if r.diff_key == key)
         assert rec.cond_i and not rec.cond_ii and rec.reachable_pairs == 0
@@ -222,8 +247,9 @@ class TestVerifyReachability:
         # Brualdi & Deaett (Linear Algebra Appl. 421, 2007): with every
         # margin 2, the Bruhat order (condition (i)) and the positive-switch
         # order coincide, so T >= 0 is exactly reachability
-        mats = oracle.enumerate_margins((2,) * n, (2,) * n)
-        closure = oracle.reachability_closure(oracle.build_dag(mats))
+        stack = oracle.enumerate_margins((2,) * n, (2,) * n)
+        closure = oracle.reachability_closure(oracle.build_dag(stack))
+        mats = [BinaryMatrix(bits) for bits in stack]
         for a, A in enumerate(mats):
             for b, B in enumerate(mats):
                 cond_i = bool((reach.compute_T(reach.diff(A, B)) >= 0).all())
@@ -241,9 +267,9 @@ class TestVerifyReachability:
         assert len(path) == 2
 
     def test_bfs_agrees_with_closure(self):
-        mats = oracle.enumerate_margins((2, 1, 1), (1, 1, 2))
-        dag = oracle.build_dag(mats)
-        closure = oracle.reachability_closure(dag)
+        stack = oracle.enumerate_margins((2, 1, 1), (1, 1, 2))
+        closure = oracle.reachability_closure(oracle.build_dag(stack))
+        mats = [BinaryMatrix(bits) for bits in stack]
         for a, ma in enumerate(mats):
             for b, mb in enumerate(mats):
                 path = oracle.bfs_directed_path(ma, mb)
@@ -254,7 +280,7 @@ class TestVerifyReachability:
 
 def reference_reachability(dag):
     """The pair loop over a, then b, with T from ``compute_T`` per pair."""
-    mats = dag.matrices
+    mats = [BinaryMatrix(bits) for bits in dag.bits]
     closure = oracle.reachability_closure(dag)
     failures, groups = [], {}
     for a, ma in enumerate(mats):
@@ -299,7 +325,7 @@ class TestPairScan:
             rep = oracle.verify_reachability(dag)
             assert rep.failures == failures == []
             assert report_records(rep) == records
-            assert rep.pairs == len(dag.matrices) * (len(dag.matrices) - 1)
+            assert rep.pairs == len(dag.bits) * (len(dag.bits) - 1)
 
     def test_both_failure_kinds_in_pair_order(self, monkeypatch):
         # reverse the first arc u -> v that is the only path from u to v:
@@ -336,22 +362,17 @@ class TestComplementDuality:
         R, C = (2, 1, 1), (2, 1, 1)
         mats = oracle.enumerate_margins(R, C)
         dag = oracle.build_dag(mats)
-        comp_mats = [binmat.complement(m) for m in mats]
+        comp_mats = [binmat.complement(BinaryMatrix(m)).bits for m in mats]
         comp_dag = oracle.build_dag(oracle.enumerate_margins((1, 2, 2), (1, 2, 2)))
         assert comp_dag.arc_count == dag.arc_count
+        comp_index = [member_index(comp_dag.bits, m) for m in comp_mats]
         # arc u -> v in the class maps to comp(v) -> comp(u) in the complement class
         for u, out in enumerate(dag.arcs):
             for v, _ in out:
-                cu = comp_dag.matrices.index(comp_mats[u])
-                cv = comp_dag.matrices.index(comp_mats[v])
-                assert any(dest == cu for dest, _ in comp_dag.arcs[cv])
+                assert any(dest == comp_index[u] for dest, _ in comp_dag.arcs[comp_index[v]])
         # sinks map onto sources and sources onto sinks
-        assert {comp_dag.matrices.index(comp_mats[s]) for s in dag.sinks} == set(
-            comp_dag.sources
-        )
-        assert {comp_dag.matrices.index(comp_mats[s]) for s in dag.sources} == set(
-            comp_dag.sinks
-        )
+        assert {comp_index[s] for s in dag.sinks} == set(comp_dag.sources)
+        assert {comp_index[s] for s in dag.sources} == set(comp_dag.sinks)
 
 
 class TestGraphical:
@@ -380,7 +401,7 @@ class TestGraphical:
                     assert not feasible
                     continue
                 if feasible:
-                    assert oracle.enumerate_degree_class(list(D))
+                    assert len(oracle.enumerate_degree_class(list(D)))
                 else:
                     with pytest.raises(NonGraphical):
                         oracle.enumerate_degree_class(list(D))
@@ -389,20 +410,19 @@ class TestGraphical:
 class TestDegreeClasses:
     def test_single_edge(self):
         graphs = oracle.enumerate_degree_class([1, 1])
-        assert len(graphs) == 1 and graphs[0].m == 1
+        assert graphs.tolist() == [[[0, 1], [1, 0]]]
 
     def test_cycle_class(self):
         graphs = oracle.enumerate_degree_class([2, 2, 2, 2])
         assert len(graphs) == 3  # the three labelled 4-cycles
-        for g in graphs:
-            assert tuple(g.degrees) == (2, 2, 2, 2)
+        assert (graphs.sum(axis=2) == 2).all()
+        assert graphs.dtype == np.int8 and not graphs.flags.writeable
 
     def test_degree_vector_exact(self):
         graphs = oracle.enumerate_degree_class([3, 2, 2, 2, 1])
-        assert graphs
-        for g in graphs:
-            assert tuple(g.degrees) == (3, 2, 2, 2, 1)
-        keys = {g.key() for g in graphs}
+        assert len(graphs)
+        assert (graphs.sum(axis=2) == [3, 2, 2, 2, 1]).all()
+        keys = {g.tobytes() for g in graphs}
         assert len(keys) == len(graphs)
 
     def test_matches_brute_force(self):
@@ -411,7 +431,7 @@ class TestDegreeClasses:
             brute = brute_classes(n, degrees, later_neighbours)
             for D in oracle.graphical_sequences(n):
                 ours = oracle.enumerate_degree_class(list(D))
-                assert [g.key() for g in ours] == [adj.tobytes() for adj in brute[D]], D
+                assert [g.tobytes() for g in ours] == [adj.tobytes() for adj in brute[D]], D
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
@@ -435,18 +455,18 @@ class TestSpectralMaxAtSink:
         graphs = oracle.enumerate_degree_class([3, 3, 2, 2, 2])
         rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs))
         assert rep.max_lambda == pytest.approx(
-            max(dense_spectral_radius(g.adj) for g in graphs), abs=1e-12
+            max(dense_spectral_radius(adj) for adj in graphs), abs=1e-12
         )
 
     def test_graph_dag_sources_sinks(self):
         graphs = oracle.enumerate_degree_class([2, 2, 1, 1])
         dag = oracle.build_graph_dag(graphs)
-        assert len(graphs) == len(dag.matrices)
-        for v, g in enumerate(graphs):
+        assert dag.bits is graphs
+        for v, adj in enumerate(graphs):
             from switchgraph.graph import count_sym_checkerboards
 
-            assert (v in dag.sinks) == (count_sym_checkerboards(g.adj, NEGATIVE) == 0)
-            assert (v in dag.sources) == (count_sym_checkerboards(g.adj, POSITIVE) == 0)
+            assert (v in dag.sinks) == (count_sym_checkerboards(adj, NEGATIVE) == 0)
+            assert (v in dag.sources) == (count_sym_checkerboards(adj, POSITIVE) == 0)
 
 
 class TestGraphicalSequences:
@@ -461,4 +481,4 @@ class TestGraphicalSequences:
 
     def test_every_sequence_enumerates(self):
         for D in oracle.graphical_sequences(5):
-            assert oracle.enumerate_degree_class(list(D))
+            assert len(oracle.enumerate_degree_class(list(D)))

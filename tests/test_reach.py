@@ -226,7 +226,7 @@ class TestComputeT:
 
     def test_unique_over_enumerated_class(self):
         # same difference -> same grid, across a whole small class
-        mats = oracle.enumerate_margins((2, 1, 1), (1, 2, 1))
+        mats = [BinaryMatrix(bits) for bits in oracle.enumerate_margins((2, 1, 1), (1, 2, 1))]
         for A in mats:
             for B in mats:
                 M = diff(A, B)
@@ -456,8 +456,9 @@ class TestBuildPath:
         ],
     )
     def test_search_matches_brute_force(self, R, C):
-        mats = oracle.enumerate_margins(R, C)
-        closure = oracle.reachability_closure(oracle.build_dag(mats))
+        stack = oracle.enumerate_margins(R, C)
+        closure = oracle.reachability_closure(oracle.build_dag(stack))
+        mats = [BinaryMatrix(bits) for bits in stack]
         for a, A in enumerate(mats):
             for b, B in enumerate(mats):
                 v = build_path(A, B)

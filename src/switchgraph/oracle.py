@@ -31,13 +31,15 @@ from .graph import Graph, dense_spectral_radius, spectral_radius, sym_board_coor
 
 def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndarray]:
     """All binary matrices with row sums R and column sums C, each a new
-    (p, q) int8 array.
+    read-only (p, q) int8 array.
 
-    Row-wise backtracking into one running array: each row picks a column
-    subset of the right size, pruning on remaining column demand.  Members
-    come lexicographically in their rows' column sets: by row 0's sorted
-    tuple of columns, then row 1's, and so on (not in byte order).  Yields
-    nothing when the margins are infeasible.
+    Row-wise backtracking into one running byte array, copied once per
+    member (a byte write costs a fraction of a numpy indexed write at these
+    sizes): each row picks a column subset of the right size, pruning on
+    remaining column demand.  Members come lexicographically in their
+    rows' column sets: by row 0's sorted tuple of columns, then row 1's,
+    and so on (not in byte order).  Yields nothing when the margins are
+    infeasible.
     """
     R = [int(x) for x in R]
     C = [int(x) for x in C]
@@ -49,22 +51,21 @@ def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndar
     if p == 0 or q == 0:
         return
     rem = C[:]
-    bits = np.zeros((p, q), dtype=np.int8)
+    cells = bytearray(p * q)  # the running member, row-major
 
     def rec(level: int) -> Iterator[np.ndarray]:
         if level == p:  # the prune left every column's demand at 0
-            yield bits.copy()
+            yield np.frombuffer(bytes(cells), dtype=np.int8).reshape(p, q)
             return
         for combo in itertools.combinations([j for j in range(q) if rem[j]], R[level]):
-            cols = list(combo)
-            for j in cols:
+            for j in combo:
                 rem[j] -= 1
-            bits[level, cols] = 1
+                cells[level * q + j] = 1
             if max(rem) < p - level:  # no column needs more rows than are left
                 yield from rec(level + 1)
-            bits[level, cols] = 0
-            for j in cols:
+            for j in combo:
                 rem[j] += 1
+                cells[level * q + j] = 0
 
     yield from rec(0)
 

@@ -22,8 +22,6 @@ from .binmat import (
     from_margins,
     potential,
     read_matrix,
-    reflect_vertical,
-    row_col_sums,
     unitary_decomposition,
     write_matrix,
 )
@@ -42,7 +40,6 @@ from .errors import (
 from .graph import (
     Graph,
     SpectralReport,
-    apply_sym_switch,
     assortativity,
     dense_spectral_radius,
     find_sym_checkerboards,
@@ -56,7 +53,6 @@ from .graph import (
 )
 from .optimize import Trajectory, TrajectoryStep, run, sample_negative_checkerboard
 from .reach import (
-    DiffMatrix,
     ReachVerdict,
     build_path,
     check_conditions,

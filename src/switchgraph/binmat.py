@@ -171,11 +171,6 @@ def write_matrix(A: BinaryMatrix, path) -> None:
         fh.write(A.to_text())
 
 
-def row_col_sums(A: BinaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The margins (R, C) of ``A`` as plain integer tuples."""
-    return tuple(int(x) for x in A.row_sums), tuple(int(x) for x in A.col_sums)
-
-
 # ---------------------------------------------------------------------------
 # Checkerboards and switches
 # ---------------------------------------------------------------------------
@@ -211,9 +206,8 @@ def board_coords(bits: np.ndarray, sign: str) -> np.ndarray:
     cols = np.arange(q)
     upper = cols[:, None] < cols
     every = np.arange(p)
-    rows = max(1, _BLOCK_CELLS // (p * q * q))
-    members = max(1, rows // p)
-    rows = min(rows, p)
+    rows = max(1, _BLOCK_CELLS // max(1, p * q * q))
+    members = max(1, rows // max(1, p))
     blocks = [np.empty((0, 5), dtype=np.intp)]
     for m in range(0, n, members):
         part = stack[m : m + members]
@@ -351,20 +345,20 @@ def complement(A: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix._wrap((1 - A.bits).astype(np.int8))
 
 
-def reflect_vertical(A: BinaryMatrix) -> BinaryMatrix:
-    """Reverse the row order."""
-    return BinaryMatrix._wrap(A.bits[::-1].copy())
-
-
 # ---------------------------------------------------------------------------
 # Structural classification
 # ---------------------------------------------------------------------------
 
 
+def _leading_run(mask: np.ndarray) -> np.ndarray:
+    """Length of the leading run of True along the last axis (0 on an
+    empty axis)."""
+    return np.logical_and.accumulate(mask, axis=-1).sum(axis=-1)
+
+
 def _prefix_runs(bits: np.ndarray) -> np.ndarray:
     """Length of the initial run of 1s in each row of a (..., p, q) stack."""
-    stop = np.concatenate([bits == 0, np.ones((*bits.shape[:-1], 1), dtype=bool)], axis=-1)
-    return stop.argmax(axis=-1)
+    return _leading_run(bits != 0)
 
 
 def _nested_rows(bits: np.ndarray) -> np.ndarray:
@@ -378,7 +372,7 @@ def _nested_rows(bits: np.ndarray) -> np.ndarray:
     runs = bits.sum(axis=-1)
     good = (bits[..., 1:] <= bits[..., :-1]).all(axis=-1)
     good[..., 1:] &= runs[..., 1:] <= runs[..., :-1]
-    return np.where(good.all(axis=-1), bits.shape[-2], good.argmin(axis=-1))
+    return _leading_run(good)
 
 
 def is_nested(bits: np.ndarray):
@@ -410,8 +404,8 @@ def _split_facts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = p - _nested_rows(bits[..., ::-1, ::-1])
     hi = _nested_rows(bits)
     filled = bits.any(axis=-1)
-    first = filled.argmax(axis=-1)
-    last = p - 1 - filled[..., ::-1].argmax(axis=-1)
+    first = _leading_run(~filled)
+    last = p - 1 - _leading_run(~filled[..., ::-1])
     # a cut h has a 1 above it when h > first filled row, below when h <= last
     two_sided = filled.any(axis=-1) & (np.maximum(lo, first + 1) <= np.minimum(hi, last))
     return lo <= hi, two_sided

@@ -274,13 +274,6 @@ class NegativeBoardTable:
             self.counts[:r, r] = below[:r]
 
 
-def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:
-    """Apply a symmetric switch, preserving degrees and simplicity."""
-    adj = G.writable_bits()
-    sym_switch_inplace(adj, coord, direction)
-    return Graph._wrap(adj)
-
-
 def sym_switch_inplace(adj: np.ndarray, coord, direction: str) -> None:
     sw = binmat.as_switch(coord)
     if len({sw.i, sw.j, sw.k, sw.l}) != 4:

@@ -91,22 +91,6 @@ def count_margin_class(R, C, cap: int | None = None) -> int | None:
     return count
 
 
-def margin_space(max_p: int, max_q: int, max_entry: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every margin pair with p <= max_p, q <= max_q, entries <= max_entry.
-
-    Only pairs with matching totals are yielded; infeasible pairs simply
-    enumerate to the empty class.
-    """
-    for p in range(1, max_p + 1):
-        for q in range(1, max_q + 1):
-            rows_by_sum: dict[int, list[tuple[int, ...]]] = {}
-            for R in itertools.product(range(min(max_entry, q) + 1), repeat=p):
-                rows_by_sum.setdefault(sum(R), []).append(R)
-            for C in itertools.product(range(min(max_entry, p) + 1), repeat=q):
-                for R in rows_by_sum.get(sum(C), ()):
-                    yield R, C
-
-
 # ---------------------------------------------------------------------------
 # The directed switch graph on a margin class
 # ---------------------------------------------------------------------------
@@ -670,10 +654,3 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
         eigenvector_order_ok=vec_ok,
         failures=failures,
     )
-
-
-def graphical_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All non-increasing graphical degree sequences on n vertices."""
-    for D in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
-        if sum(D) % 2 == 0 and is_graphical(D):
-            yield D

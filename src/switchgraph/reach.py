@@ -48,64 +48,26 @@ UNREACHABLE_STATUSES = frozenset({UNREACHABLE_CONDITION_I, UNREACHABLE_EXHAUSTIV
 DEFAULT_BFS_CAP = 10**6
 
 
-class DiffMatrix:
-    """Difference A' - A of two matrices with equal margins.
-
-    Entries lie in {-1, 0, 1} and every row and column sums to zero.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=np.int8)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"expected a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isin(arr, (-1, 0, 1)).all():
-            raise ValueError("difference entries must be -1, 0 or 1")
-        if arr.sum(axis=1).any() or arr.sum(axis=0).any():
-            raise ValueError("difference rows and columns must sum to zero")
-        arr.setflags(write=False)
-        self.entries = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "DiffMatrix":
-        obj = object.__new__(cls)
-        arr.setflags(write=False)
-        obj.entries = arr
-        return obj
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.entries.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffMatrix):
-            return NotImplemented
-        return self.entries.shape == other.entries.shape and bool(
-            (self.entries == other.entries).all()
-        )
-
-    def __hash__(self):
-        return hash((self.entries.shape, self.entries.tobytes()))
-
-
-def diff(A: BinaryMatrix, A2: BinaryMatrix) -> DiffMatrix:
-    """M = A2 - A.  Raises unless shapes and margins agree."""
+def diff(A: BinaryMatrix, A2: BinaryMatrix) -> np.ndarray:
+    """M = A2 - A as a read-only int8 array.  Raises unless shapes and
+    margins agree."""
     if A.bits.shape != A2.bits.shape:
         raise DimensionMismatch(
             f"shapes differ: {A.bits.shape} vs {A2.bits.shape}"
         )
     if (A.row_sums != A2.row_sums).any() or (A.col_sums != A2.col_sums).any():
         raise MarginMismatch("matrices have different row or column sums")
-    return DiffMatrix._wrap((A2.bits - A.bits).astype(np.int8))
+    M = A2.bits - A.bits  # int8: 0/1 entries cannot overflow
+    M.setflags(write=False)
+    return M
 
 
-def compute_T(M: DiffMatrix) -> np.ndarray:
+def compute_T(M: np.ndarray) -> np.ndarray:
     """Unique decomposition coefficients via 2-D prefix sums.
+
+    ``M`` is a difference, as :func:`diff` returns it: a non-empty 2-D
+    array with entries -1, 0 or 1 whose rows and columns sum to zero;
+    anything else raises ``ValueError``.
 
     Returns a read-only int64 array of shape (p-1, q-1) whose entry
     [i-1, k-1] is the coefficient of the unitary switch (i, i+1, k, k+1):
@@ -114,19 +76,34 @@ def compute_T(M: DiffMatrix) -> np.ndarray:
     m_ij = t_ij + t_(i-1)(j-1) - t_i(j-1) - t_(i-1)j holds identically.
     Condition (i) is ``(T >= 0).all()``.
     """
-    ps = M.entries.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    T = ps[: M.p - 1, : M.q - 1].copy()
+    m = np.asarray(M)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"expected a non-empty 2-D array, got shape {m.shape}")
+    m = m.astype(np.int64)
+    if (np.abs(m) > 1).any():
+        raise ValueError("difference entries must be -1, 0 or 1")
+    ps = m.cumsum(axis=0).cumsum(axis=1)
+    # the last row holds the running column sums, the last column the row sums
+    if ps[-1].any() or ps[:, -1].any():
+        raise ValueError("difference rows and columns must sum to zero")
+    T = ps[:-1, :-1].copy()
     T.setflags(write=False)
     return T
 
 
-def reconstruct_diff(T: np.ndarray) -> DiffMatrix:
-    """Rebuild M from T through the four-term corner relation."""
+def reconstruct_diff(T: np.ndarray) -> np.ndarray:
+    """Rebuild M from T through the four-term corner relation, as a
+    read-only int8 array.  Its rows and columns sum to zero by that
+    relation; an entry outside {-1, 0, 1} raises ``ValueError``."""
     p, q = T.shape[0] + 1, T.shape[1] + 1
     ext = np.zeros((p + 1, q + 1), dtype=np.int64)
     ext[1:p, 1:q] = T
     m = ext[1:, 1:] + ext[:-1, :-1] - ext[1:, :-1] - ext[:-1, 1:]
-    return DiffMatrix(m.astype(np.int8))
+    if (np.abs(m) > 1).any():
+        raise ValueError("difference entries must be -1, 0 or 1")
+    M = m.astype(np.int8)
+    M.setflags(write=False)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +146,7 @@ def _level_components(values: np.ndarray, level: int):
         yield comp
 
 
-def check_conditions(M: DiffMatrix) -> tuple[bool, bool, bool, np.ndarray]:
+def check_conditions(M: np.ndarray) -> tuple[bool, bool, bool, np.ndarray]:
     """Conditions (i), (ii), (iii) of a difference matrix, and its T grid."""
     T = compute_T(M)
     cond_i, cond_ii, cond_iii = grid_conditions(T[None])

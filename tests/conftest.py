@@ -1,9 +1,11 @@
 """Shared golden fixtures: small matrices with known structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from switchgraph import BinaryMatrix, binmat, reach
+from switchgraph import BinaryMatrix, Graph, binmat, graph, oracle, reach
 from switchgraph.binmat import NEGATIVE, POSITIVE
 from switchgraph.errors import InternalInvariantViolation
 
@@ -96,6 +98,44 @@ def block_pair():
 
 def random_binary(rng: np.random.Generator, p: int, q: int, density=0.5) -> BinaryMatrix:
     return BinaryMatrix((rng.random((p, q)) < density).astype(int))
+
+
+def row_col_sums(A: BinaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The margins (R, C) of ``A`` as plain integer tuples."""
+    return tuple(A.row_sums.tolist()), tuple(A.col_sums.tolist())
+
+
+def reflect_vertical(A: BinaryMatrix) -> BinaryMatrix:
+    """``A`` with its row order reversed."""
+    return BinaryMatrix(A.bits[::-1])
+
+
+def apply_sym_switch(G: Graph, coord, direction: str) -> Graph:
+    """``G`` with one symmetric switch applied by ``graph.sym_switch_inplace``."""
+    adj = G.writable_bits()
+    graph.sym_switch_inplace(adj, coord, direction)
+    return Graph(adj)
+
+
+def margin_space(max_p: int, max_q: int, max_entry: int):
+    """Every margin pair (R, C) with p <= max_p, q <= max_q, entries <=
+    max_entry and matching totals; an infeasible pair enumerates to the
+    empty class."""
+    for p in range(1, max_p + 1):
+        for q in range(1, max_q + 1):
+            rows_by_sum: dict[int, list[tuple[int, ...]]] = {}
+            for R in itertools.product(range(min(max_entry, q) + 1), repeat=p):
+                rows_by_sum.setdefault(sum(R), []).append(R)
+            for C in itertools.product(range(min(max_entry, p) + 1), repeat=q):
+                for R in rows_by_sum.get(sum(C), ()):
+                    yield R, C
+
+
+def graphical_sequences(n: int):
+    """All non-increasing graphical degree sequences on n vertices."""
+    for D in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+        if sum(D) % 2 == 0 and oracle.is_graphical(D):
+            yield D
 
 
 def member_index(stack: np.ndarray, bits) -> int:

@@ -38,6 +38,8 @@ from conftest import (
     RING_T,
     ZEBRA_BANDED,
     ZEBRA_SPLIT_H,
+    graphical_sequences,
+    margin_space,
     random_binary,
 )
 
@@ -132,7 +134,7 @@ def margin_sweep() -> SweepResult:
     out = SweepResult()
     hashers = {}
     t0 = time.perf_counter()
-    for R, C in oracle.margin_space(4, 4, 3):
+    for R, C in margin_space(4, 4, 3):
         mats = oracle.enumerate_margins(R, C)
         if not len(mats):
             continue
@@ -347,7 +349,7 @@ def test_criterion_07_spectral_max_at_sink():
     digests = {}
     for n in range(1, 8):
         hasher = hashlib.sha256()
-        for D in oracle.graphical_sequences(n):
+        for D in graphical_sequences(n):
             sequences += 1
             graphs = oracle.enumerate_degree_class(list(D))
             graphs_total += len(graphs)

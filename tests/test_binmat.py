@@ -18,8 +18,6 @@ from switchgraph.binmat import (
     find_checkerboards,
     from_margins,
     potential,
-    reflect_vertical,
-    row_col_sums,
     unitary_decomposition,
 )
 from switchgraph.errors import InfeasibleMargins, InvalidSwitch, MatrixFormatError
@@ -32,6 +30,8 @@ from conftest import (
     ZEBRA_BANDED,
     ZEBRA_SPLIT_H,
     random_binary,
+    reflect_vertical,
+    row_col_sums,
 )
 
 
@@ -60,18 +60,6 @@ class TestBinaryMatrix:
             BinaryMatrix([[]])
         with pytest.raises(ValueError):
             BinaryMatrix([0, 1])
-
-    def test_margins_identity(self):
-        R, C = row_col_sums(BinaryMatrix([[1, 0], [0, 1]]))
-        assert R == (1, 1) and C == (1, 1)
-
-    def test_margins_all_ones(self):
-        R, C = row_col_sums(BinaryMatrix([[1, 1], [1, 1]]))
-        assert R == (2, 2) and C == (2, 2)
-
-    def test_margins_ring_matrix(self):
-        R, C = row_col_sums(BinaryMatrix(RING_A))
-        assert R == (1, 3, 3, 1) and C == (3, 1, 1, 3)
 
     def test_bits_are_read_only(self):
         A = BinaryMatrix([[1, 0], [0, 1]])
@@ -336,6 +324,12 @@ class TestBoardCoords:
         with pytest.raises(ValueError):
             binmat.board_coords(np.eye(2, dtype=np.int8), "neutral")
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+    def test_no_cells_no_boards(self, shape):
+        for sign in (POSITIVE, NEGATIVE):
+            got = binmat.board_coords(np.zeros(shape, dtype=np.int8), sign)
+            assert got.shape == (0, len(shape) + 2)
+
     @pytest.mark.parametrize("pairs_per_block", [None, 1, 3, 7, 14])
     def test_stack_matches_each_member(self, monkeypatch, pairs_per_block):
         # blocks of 1 or 3 (member, row) pairs split each 5-row member, 7
@@ -550,11 +544,6 @@ class TestComplementReflect:
     def test_complement(self):
         assert complement(BinaryMatrix([[1, 0], [0, 1]])) == BinaryMatrix([[0, 1], [1, 0]])
 
-    def test_reflect_vertical(self):
-        assert reflect_vertical(BinaryMatrix([[1, 1], [0, 0]])) == BinaryMatrix(
-            [[0, 0], [1, 1]]
-        )
-
     def test_complement_swaps_signs_in_place(self):
         rng = np.random.default_rng(9)
         A = random_binary(rng, 5, 6)
@@ -579,6 +568,14 @@ class TestComplementReflect:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("shape", [(0, 0, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0)])
+    def test_class_flags_without_cells(self, shape):
+        # an empty stack, and members with no rows or no columns: every
+        # member is vacuously nested, anti-nested and split
+        flags = binmat.class_flags(np.zeros(shape, dtype=np.int8))
+        for name, flag in flags.items():
+            assert flag.shape == shape[:1] and flag.all(), name
+
     def test_banded_zebra_not_split(self):
         cls = classify(BinaryMatrix(ZEBRA_BANDED))
         assert cls.zebra

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import switchgraph
 from switchgraph import binmat, cli, graph
 from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 
@@ -631,6 +632,36 @@ def test_benchmark_trace_targets_exist():
         if not callable(getattr(importlib.import_module(f"switchgraph.{module}"), name, None))
     ]
     assert targets and not missing
+
+
+def test_public_api():
+    assert sorted(switchgraph.__all__) == [
+        "BinaryMatrix", "Checkerboard", "DegenerateGraph", "DimensionMismatch",
+        "Graph", "InfeasibleMargins", "InternalInvariantViolation",
+        "InvalidSwitch", "MarginMismatch", "MarginSumMismatch", "MatrixClass",
+        "MatrixFormatError", "NEGATIVE", "NonGraphical", "POSITIVE",
+        "ReachVerdict", "SpectralReport", "Switch", "SwitchGraphError",
+        "Trajectory", "TrajectoryStep", "apply_path", "apply_switch",
+        "assortativity", "binmat", "build_path", "check_conditions", "classify",
+        "complement", "compute_T", "dense_spectral_radius", "diff", "errors",
+        "find_checkerboards", "find_sym_checkerboards", "from_margins",
+        "gen_erdos_renyi", "gen_small_world", "gen_split_zebra", "graph",
+        "jacobi_eigenvalues", "optimize", "potential", "reach", "read_matrix",
+        "reconstruct_diff", "run", "sample_negative_checkerboard",
+        "sort_by_degree", "spectral_radius", "unitary_decomposition",
+        "validate_path", "write_matrix", "zagreb",
+    ]
+    # names that left the package: a difference is a plain array, and the
+    # other five are test helpers in conftest
+    removed = {
+        "reach": ["DiffMatrix"],
+        "binmat": ["row_col_sums", "reflect_vertical"],
+        "graph": ["apply_sym_switch"],
+        "oracle": ["margin_space", "graphical_sequences"],
+    }
+    for module, names in removed.items():
+        mod = importlib.import_module(f"switchgraph.{module}")
+        assert not [name for name in names if hasattr(mod, name)], module
 
 
 # RING or BACKTRACK in the top-left corner of a report-digest pair

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchgraph import optimize, oracle
-from switchgraph.binmat import NEGATIVE, BinaryMatrix
+from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 from switchgraph.errors import InternalInvariantViolation
 from switchgraph.graph import (
     Graph,
@@ -26,6 +26,8 @@ from switchgraph.optimize import (
     trajectory_csv,
     write_trajectory_csv,
 )
+
+from conftest import apply_sym_switch
 
 
 def complete_graph(n):
@@ -184,9 +186,6 @@ class TestRun:
         g = sorted_er(14, 0.4, seed=19)
         traj = run(g, budget=50, lambda_every=0, seed=5)
         cur = g
-        from switchgraph.graph import apply_sym_switch
-        from switchgraph.binmat import POSITIVE
-
         for st in traj.steps:
             cur = apply_sym_switch(cur, st.coord, POSITIVE)  # raises if invalid
         assert cur == traj.final

@@ -8,7 +8,15 @@ from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 from switchgraph.errors import InternalInvariantViolation, MarginSumMismatch, NonGraphical
 from switchgraph.graph import Graph, dense_spectral_radius, find_sym_checkerboards, sym_switch_inplace
 
-from conftest import BLOCK_A, BLOCK_B, RING_A, RING_B, member_index
+from conftest import (
+    BLOCK_A,
+    BLOCK_B,
+    RING_A,
+    RING_B,
+    graphical_sequences,
+    margin_space,
+    member_index,
+)
 
 
 def brute_classes(shape, margins, order_key):
@@ -61,7 +69,7 @@ class TestEnumerateMargins:
         # ends, the sources, the sinks and every report's pair
         margins = lambda bits: (tuple(bits.sum(axis=1).tolist()), tuple(bits.sum(axis=0).tolist()))
         brute = {}
-        for R, C in oracle.margin_space(3, 3, 3):
+        for R, C in margin_space(3, 3, 3):
             shape = (len(R), len(C))
             if shape not in brute:
                 brute[shape] = brute_classes(shape, margins, row_column_sets)
@@ -203,6 +211,22 @@ class TestVerifyDagStructure:
     )
     def test_small_classes_pass(self, R, C):
         dag = oracle.build_dag(oracle.enumerate_margins(R, C))
+        rep = oracle.verify_dag_structure(dag)
+        assert rep.ok, rep.failures
+
+    def test_empty_class(self):
+        dag = oracle.build_dag(oracle.enumerate_margins((), ()))
+        assert dag.bits.shape == (0, 0, 0) and dag.arcs == []
+        rep = oracle.verify_dag_structure(dag)
+        assert (rep.acyclic, rep.connected, rep.potential_law, rep.unique_sink,
+                rep.unique_source, rep.singleton_nested, rep.failures) == (
+            True, True, True, "vacuous", "vacuous", "pass", [])
+
+    def test_empty_graph_class(self):
+        # the one graph on no vertices: a class of one member, its own sink
+        dag = oracle.build_graph_dag(oracle.enumerate_degree_class([]))
+        assert dag.bits.shape == (1, 0, 0)
+        assert dag.arcs == [[]] and dag.sources == [0] and dag.sinks == [0]
         rep = oracle.verify_dag_structure(dag)
         assert rep.ok, rep.failures
 
@@ -429,7 +453,7 @@ class TestDegreeClasses:
         degrees = lambda adj: tuple(adj.sum(axis=1).tolist())
         for n in range(1, 6):
             brute = brute_classes(n, degrees, later_neighbours)
-            for D in oracle.graphical_sequences(n):
+            for D in graphical_sequences(n):
                 ours = oracle.enumerate_degree_class(list(D))
                 assert [g.tobytes() for g in ours] == [adj.tobytes() for adj in brute[D]], D
 
@@ -472,7 +496,7 @@ class TestSpectralMaxAtSink:
 class TestGraphicalSequences:
     def test_small_counts(self):
         # n = 3: degree vectors (0,0,0), (1,1,0), (2,1,1), (2,2,2)
-        assert list(oracle.graphical_sequences(3)) == [
+        assert list(graphical_sequences(3)) == [
             (2, 2, 2),
             (2, 1, 1),
             (1, 1, 0),
@@ -480,5 +504,5 @@ class TestGraphicalSequences:
         ]
 
     def test_every_sequence_enumerates(self):
-        for D in oracle.graphical_sequences(5):
+        for D in graphical_sequences(5):
             assert len(oracle.enumerate_degree_class(list(D)))

@@ -9,7 +9,6 @@ from switchgraph import binmat, oracle, reach
 from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 from switchgraph.errors import DimensionMismatch, MarginMismatch
 from switchgraph.reach import (
-    DiffMatrix,
     build_path,
     check_conditions,
     compute_T,
@@ -122,10 +121,10 @@ def random_pair_by_switches(rng, p, q, max_steps, density=0.5):
     return A, BinaryMatrix(bits)
 
 
-def lstsq_T(M: DiffMatrix) -> np.ndarray | None:
+def lstsq_T(M: np.ndarray) -> np.ndarray | None:
     """Independent decomposition oracle: solve M = sum t_ik * unit_ik by
     linear least squares over the unitary switch basis, then round."""
-    p, q = M.p, M.q
+    p, q = M.shape
     cols = []
     for i in range(1, p):
         for k in range(1, q):
@@ -133,9 +132,9 @@ def lstsq_T(M: DiffMatrix) -> np.ndarray | None:
     if not cols:
         return np.zeros((0, 0), dtype=np.int64)
     basis = np.array(cols, dtype=np.float64).T
-    sol, *_ = np.linalg.lstsq(basis, M.entries.ravel().astype(np.float64), rcond=None)
+    sol, *_ = np.linalg.lstsq(basis, M.ravel().astype(np.float64), rcond=None)
     rounded = np.round(sol).astype(np.int64)
-    if not np.array_equal(basis @ rounded, M.entries.ravel()):
+    if not np.array_equal(basis @ rounded, M.ravel()):
         return None
     return rounded.reshape(p - 1, q - 1)
 
@@ -143,16 +142,16 @@ def lstsq_T(M: DiffMatrix) -> np.ndarray | None:
 class TestDiff:
     def test_zero(self, pair_3x3):
         A, _ = pair_3x3
-        assert not diff(A, A).entries.any()
+        assert not diff(A, A).any()
 
     def test_golden_3x3(self, pair_3x3):
         A, B = pair_3x3
-        assert (diff(A, B).entries == [[1, 0, -1], [-1, 1, 0], [0, -1, 1]]).all()
+        assert (diff(A, B) == [[1, 0, -1], [-1, 1, 0], [0, -1, 1]]).all()
 
     def test_golden_block(self, block_pair):
         A, B = block_pair
         expect = [[1, 1, -1, -1], [1, 1, -1, -1], [-1, -1, 1, 1], [-1, -1, 1, 1]]
-        assert (diff(A, B).entries == expect).all()
+        assert (diff(A, B) == expect).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -162,11 +161,26 @@ class TestDiff:
         with pytest.raises(MarginMismatch):
             diff(BinaryMatrix([[1, 0], [0, 1]]), BinaryMatrix([[1, 1], [0, 0]]))
 
+    def test_is_read_only_int8(self, pair_3x3):
+        M = diff(*pair_3x3)
+        assert isinstance(M, np.ndarray) and M.dtype == np.int8
+        with pytest.raises(ValueError):
+            M[0, 0] = 0
+
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            DiffMatrix([[1, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            DiffMatrix([[2, -2], [-2, 2]])
+        # compute_T is the public entry that receives a difference
+        with pytest.raises(ValueError, match="sum to zero"):
+            compute_T(np.array([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            compute_T(np.array([[2, -2], [-2, 2]]))
+        with pytest.raises(ValueError, match="2-D"):
+            compute_T(np.array([1, -1]))
+        with pytest.raises(ValueError, match="2-D"):
+            compute_T(np.zeros((0, 3), dtype=np.int8))
+
+    def test_reconstruct_rejects_entries_outside_unit_range(self):
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            reconstruct_diff(np.array([[2]]))
 
 
 class TestComputeT:
@@ -193,7 +207,7 @@ class TestComputeT:
 
     def test_single_negative_switch_fails_condition(self):
         m = -binmat.switching_matrix((1, 2, 1, 2), 3, 3)
-        T = compute_T(DiffMatrix(m))
+        T = compute_T(m)
         assert T[0, 0] == -1 and not (T >= 0).all()
 
     def test_prefix_sums_match_lstsq_oracle(self):
@@ -221,7 +235,8 @@ class TestComputeT:
             M = diff(*pair)
             T = compute_T(M)
             back = reconstruct_diff(T)
-            assert back == M
+            assert back.dtype == np.int8 and not back.flags.writeable
+            assert np.array_equal(back, M)
             assert (compute_T(back) == T).all()
 
     def test_unique_over_enumerated_class(self):

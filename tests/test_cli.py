@@ -739,6 +739,26 @@ def test_report_digest(tmp_path, capsys, monkeypatch):
     assert digest.hexdigest() == "dd6faec9944b6d37a0d0e203cbc7f4f6a9b39401c9c67a18a4b10c293707315a"
 
 
+def test_non_graph_digest(tmp_path, capsys, monkeypatch):
+    # a matrix that is not a graph: the stdout and exit code of ``analyze``
+    # (the whole class object and the error) and the stderr and exit code
+    # of ``optimize --input``, over three such matrices, pinned as one sha256
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    matrices = {
+        "wide.mat": [[1, 0, 1], [0, 1, 1]],
+        "asym.mat": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        "loop.mat": [[1, 1], [1, 0]],
+    }
+    for name, rows in matrices.items():
+        write(tmp_path, name, rows)
+        for argv, want in ((("analyze", name), 2), (("optimize", "--input", name), 65)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == want
+            digest.update(repr((argv, code)).encode() + out.encode() + err.encode())
+    assert digest.hexdigest() == "5f7d33fe2bed4458a3f924f1831201879c3147422251c9c185719209596f6609"
+
+
 def test_scan_conjecture_digest(tmp_path, capsys, monkeypatch):
     # the stdout, the --out lines and the exit code of two scans, pinned as
     # one sha256; each seed reports two backward counterexamples with the

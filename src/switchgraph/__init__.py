@@ -12,7 +12,6 @@ from .binmat import (
     POSITIVE,
     BinaryMatrix,
     Checkerboard,
-    MatrixClass,
     Switch,
     apply_path,
     apply_switch,

@@ -13,7 +13,6 @@ All coordinates in the public API are 1-based: a switch coordinate
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -435,43 +434,6 @@ def zebra_parts(A: BinaryMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return (nested, rest) if ok else None
 
 
-@dataclass(frozen=True)
-class MatrixClass:
-    """Structural flags; independent, several may hold at once."""
-
-    nested: bool
-    anti_nested: bool
-    zebra: bool
-    zebra_split_h: bool
-    zebra_split_v: bool
-    anti_zebra: bool
-    anti_zebra_split_h: bool
-    anti_zebra_split_v: bool
-    complement_of_split: bool
-    degenerate_split: bool
-
-    @property
-    def is_split_zebra(self) -> bool:
-        return self.zebra_split_h or self.zebra_split_v
-
-    @property
-    def is_split_anti_zebra(self) -> bool:
-        return self.anti_zebra_split_h or self.anti_zebra_split_v
-
-    @property
-    def none(self) -> bool:
-        return not (
-            self.nested
-            or self.anti_nested
-            or self.zebra
-            or self.anti_zebra
-            or self.complement_of_split
-        )
-
-    def flags(self) -> dict[str, bool]:
-        return {**asdict(self), "none": self.none}
-
-
 def _zebra_split(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(split_h, split_v, degenerate) for the zebra family, per matrix of a
     (..., p, q) stack: a row or column cut splits it into a nested and an
@@ -484,8 +446,10 @@ def _zebra_split(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def class_flags(bits: np.ndarray) -> dict[str, np.ndarray]:
-    """The fields of :class:`MatrixClass` for every matrix of a (..., p, q)
-    stack, each as a boolean array over the leading axes.
+    """The structural flags of every matrix of a (..., p, q) stack, each as
+    a boolean array over the leading axes.  The keys are those of
+    :func:`classify`, except ``none``; the flags are independent, and
+    several may hold at once.
 
     This is the one implementation behind :func:`classify`; the oracle
     calls it once on a whole class.
@@ -511,8 +475,11 @@ def class_flags(bits: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def classify(A: BinaryMatrix) -> MatrixClass:
-    """Compute the structural flags of ``A``.
+def classify(A: BinaryMatrix) -> dict[str, bool]:
+    """The structural flags of ``A``, the dict that ``analyze`` reports:
+    the keys of :func:`class_flags` plus ``none``, true when ``A`` is
+    neither nested, anti-nested, a zebra, an anti-zebra nor the
+    complement of a split.
 
     A zebra is a disjoint sum of a nested and an anti-nested matrix; it is
     split horizontally (vertically) when some row (column) cut separates
@@ -528,7 +495,10 @@ def classify(A: BinaryMatrix) -> MatrixClass:
     :func:`zebra_parts`.  This wraps :func:`class_flags`, which does the
     same on a whole stack at once.
     """
-    return MatrixClass(**{name: bool(flag) for name, flag in class_flags(A.bits).items()})
+    flags = {name: bool(flag) for name, flag in class_flags(A.bits).items()}
+    flags["none"] = not (flags["nested"] or flags["anti_nested"] or flags["zebra"]
+                         or flags["anti_zebra"] or flags["complement_of_split"])
+    return flags
 
 
 # ---------------------------------------------------------------------------

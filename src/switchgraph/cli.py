@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -67,7 +66,8 @@ def _emit(args, **body) -> None:
 
 
 def _json_atom(value) -> str:
-    """A scalar or an empty container, written as ``json`` writes it."""
+    """A scalar or an empty container, written as ``json`` writes it: the
+    types every report holds by hand, anything else by ``json.dumps``."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -78,19 +78,7 @@ def _json_atom(value) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return "[]"
-    if isinstance(value, dict):
-        return "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(value)
 
 
 def _render_json(value, indent: str = "\n") -> str:
@@ -179,8 +167,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     mat = _load_matrix(args.input)
-    cls = binmat.classify(mat)
-    body: dict = {"class": cls.flags()}
+    body: dict = {"class": binmat.classify(mat)}
     try:
         g = graph.Graph(mat.bits)
     except ValueError as exc:

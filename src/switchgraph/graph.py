@@ -35,17 +35,14 @@ class Graph(BinaryMatrix):
     __slots__ = ()
 
     def __init__(self, adj):
-        arr = np.array(adj, dtype=np.int8)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        super().__init__(adj)
+        arr = self.bits
+        if arr.shape[0] != arr.shape[1]:
             raise ValueError(f"adjacency must be square and non-empty, got {arr.shape}")
-        if (arr.view(np.uint8) > 1).any():
-            raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(arr).any():
             raise ValueError("adjacency diagonal must be zero (no loops)")
         if (arr != arr.T).any():
             raise ValueError("adjacency must be symmetric")
-        arr.setflags(write=False)
-        self.bits = arr
 
     @property
     def adj(self) -> np.ndarray:
@@ -515,8 +512,9 @@ def gen_split_zebra(R, C) -> BinaryMatrix:
             if binmat._is_board(bits, sw, NEGATIVE):
                 binmat.switch_bits_inplace(bits, sw, POSITIVE)
     result = BinaryMatrix(bits)
-    cls = binmat.classify(result)
-    if cls.is_split_zebra or cls.is_split_anti_zebra:
+    f = binmat.classify(result)
+    if (f["zebra_split_h"] or f["zebra_split_v"]
+            or f["anti_zebra_split_h"] or f["anti_zebra_split_v"]):
         return result
     raise InfeasibleMargins(
         "margins admit no split zebra or split anti-zebra"

@@ -36,7 +36,6 @@ from .graph import (
     count_sym_checkerboards,
     m2_switch_delta,
     spectral_radius,
-    sym_board_pair_counts,
     zagreb,
 )
 
@@ -74,9 +73,6 @@ class RunStats:
 
 @dataclass
 class Trajectory:
-    seed: int
-    budget: int
-    lambda_every: int
     steps: list[TrajectoryStep]
     termination: str
     initial: Graph
@@ -101,12 +97,12 @@ class Trajectory:
 
 
 def sample_negative_checkerboard(
-    adj: np.ndarray, rng: np.random.Generator, counts: np.ndarray | None = None
+    adj: np.ndarray, rng: np.random.Generator, counts: np.ndarray
 ) -> Switch | None:
     """Uniform negative symmetric checkerboard, or None at a sink.
 
-    ``counts`` is the table ``sym_board_pair_counts(adj, NEGATIVE)``; it is
-    computed here when not given.  One draw, ``rng.integers(total)`` over
+    ``counts`` is the table ``sym_board_pair_counts(adj, NEGATIVE)`` that a
+    ``NegativeBoardTable`` keeps current.  One draw, ``rng.integers(total)`` over
     the table's total, picks one of its entries, and no draw is made at a
     sink.  Entries are ordered by row pair (i, j), row-major, and within a
     pair by the board's second column l, then its first column k; the pick
@@ -116,8 +112,6 @@ def sample_negative_checkerboard(
     columns (i, j), so the pick is uniform over switches; the switch is
     returned with its smaller row pair first.
     """
-    if counts is None:
-        counts = sym_board_pair_counts(adj, NEGATIVE)
     ends = counts.sum(axis=1).cumsum()
     total = int(ends[-1])
     if total == 0:
@@ -196,9 +190,6 @@ def run(
     final = Graph._wrap(adj)
     lam_final = stats.lambda1(final)
     return Trajectory(
-        seed=seed,
-        budget=budget,
-        lambda_every=lambda_every,
         steps=steps,
         termination=termination,
         initial=G0,

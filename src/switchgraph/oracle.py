@@ -39,7 +39,7 @@ def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndar
     remaining column demand.  Members come lexicographically in their
     rows' column sets: by row 0's sorted tuple of columns, then row 1's,
     and so on (not in byte order).  Yields nothing when the margins are
-    infeasible.
+    infeasible, and the one matrix with no cells when R or C is empty.
     """
     R = [int(x) for x in R]
     C = [int(x) for x in C]
@@ -48,8 +48,6 @@ def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndar
     if sum(R) != sum(C):
         raise MarginSumMismatch(f"margin sums differ: {sum(R)} != {sum(C)}")
     p, q = len(R), len(C)
-    if p == 0 or q == 0:
-        return
     rem = C[:]
     cells = bytearray(p * q)  # the running member, row-major
 
@@ -61,7 +59,7 @@ def iter_margin_matrices(R: Sequence[int], C: Sequence[int]) -> Iterator[np.ndar
             for j in combo:
                 rem[j] -= 1
                 cells[level * q + j] = 1
-            if max(rem) < p - level:  # no column needs more rows than are left
+            if max(rem, default=0) < p - level:  # no column needs more rows than are left
                 yield from rec(level + 1)
             for j in combo:
                 rem[j] += 1
@@ -376,7 +374,6 @@ def bfs_directed_path(A: BinaryMatrix, A2: BinaryMatrix) -> list[Switch] | None:
 class ConjectureRecord:
     """Evidence row for one difference matrix within one class."""
 
-    margins: tuple[tuple[int, ...], tuple[int, ...]]
     diff_key: bytes
     cond_i: bool
     cond_ii: bool
@@ -426,7 +423,6 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     if n < 2:
         return ReachabilityReport(0, True, True)
     closure = reachability_closure(dag)
-    margins = (tuple(dag.bits[0].sum(axis=1).tolist()), tuple(dag.bits[0].sum(axis=0).tolist()))
     cells = (p - 1) * (q - 1)
     psums = dag.bits.astype(np.int64).cumsum(axis=1).cumsum(axis=2)[:, : p - 1, : q - 1]
     # prefix sums and every entry of T lie in [-pq, pq]: the smallest signed
@@ -466,7 +462,6 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
         for (g, key), ii, iii in zip(new, cond_ii.tolist(), cond_iii.tolist()):
             a, b = divmod(int(fits[first[g]]), n)
             groups[key] = ConjectureRecord(
-                margins=margins,
                 diff_key=key,
                 cond_i=True,
                 cond_ii=ii,
@@ -586,9 +581,6 @@ def build_graph_dag(stack: np.ndarray) -> MatrixClassDAG:
 
 @dataclass
 class SpectralSinkReport:
-    degree_sequence: tuple[int, ...]
-    class_size: int
-    sink_count: int
     max_lambda: float
     max_lambda_at_sinks: float
     max_at_sink: bool
@@ -645,9 +637,6 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
                         f"but x[{i}]={x[i]:.6g} < x[{j}]={x[j]:.6g}"
                     )
     return SpectralSinkReport(
-        degree_sequence=D,
-        class_size=len(dag.bits),
-        sink_count=len(dag.sinks),
         max_lambda=max_all,
         max_lambda_at_sinks=max_sinks,
         max_at_sink=max_at_sink,

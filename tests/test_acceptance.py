@@ -21,6 +21,7 @@ from switchgraph.graph import (
     gen_erdos_renyi,
     sort_by_degree,
     spectral_radius,
+    sym_board_pair_counts,
     sym_switch_inplace,
     zagreb,
 )
@@ -182,10 +183,10 @@ def test_criterion_01_golden_examples():
     c2 = binmat.classify(BinaryMatrix(ZEBRA_SPLIT_H))
     c3 = binmat.classify(BinaryMatrix(ANTI_BANDED))
     c4 = binmat.classify(BinaryMatrix(ANTI_SPLIT_H))
-    ok &= c1.zebra and not (c1.zebra_split_h or c1.zebra_split_v)
-    ok &= c2.zebra and c2.zebra_split_h
-    ok &= c3.anti_zebra and not (c3.anti_zebra_split_h or c3.anti_zebra_split_v)
-    ok &= c4.anti_zebra and c4.anti_zebra_split_h
+    ok &= c1["zebra"] and not (c1["zebra_split_h"] or c1["zebra_split_v"])
+    ok &= c2["zebra"] and c2["zebra_split_h"]
+    ok &= c3["anti_zebra"] and not (c3["anti_zebra_split_h"] or c3["anti_zebra_split_v"])
+    ok &= c4["anti_zebra"] and c4["anti_zebra_split_h"]
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     report(1, bool(ok), f"decomposition grids, boards, classifications exact in {elapsed:.3f}s")
@@ -293,7 +294,8 @@ def test_criterion_05_m2_delta_law():
         d = g.degrees
         _, m2, _, z2 = zagreb(g)
         for _ in range(25):
-            sw = optimize.sample_negative_checkerboard(adj, rng)
+            counts = sym_board_pair_counts(adj, NEGATIVE)
+            sw = optimize.sample_negative_checkerboard(adj, rng, counts)
             if sw is None:
                 break
             sym_switch_inplace(adj, sw, POSITIVE)
@@ -325,7 +327,8 @@ def test_criterion_06_lambda_bound():
         bound = 0.0
         applied = 0
         for _ in range(int(rng.integers(1, 11))):
-            sw = optimize.sample_negative_checkerboard(adj, rng)
+            counts = sym_board_pair_counts(adj, NEGATIVE)
+            sw = optimize.sample_negative_checkerboard(adj, rng, counts)
             if sw is None:
                 break
             sym_switch_inplace(adj, sw, POSITIVE)

@@ -638,7 +638,7 @@ def test_public_api():
     assert sorted(switchgraph.__all__) == [
         "BinaryMatrix", "Checkerboard", "DegenerateGraph", "DimensionMismatch",
         "Graph", "InfeasibleMargins", "InternalInvariantViolation",
-        "InvalidSwitch", "MarginMismatch", "MarginSumMismatch", "MatrixClass",
+        "InvalidSwitch", "MarginMismatch", "MarginSumMismatch",
         "MatrixFormatError", "NEGATIVE", "NonGraphical", "POSITIVE",
         "ReachVerdict", "SpectralReport", "Switch", "SwitchGraphError",
         "Trajectory", "TrajectoryStep", "apply_path", "apply_switch",
@@ -651,11 +651,12 @@ def test_public_api():
         "sort_by_degree", "spectral_radius", "unitary_decomposition",
         "validate_path", "write_matrix", "zagreb",
     ]
-    # names that left the package: a difference is a plain array, and the
-    # other five are test helpers in conftest
+    # names that left the package: a difference is a plain array, the flags
+    # of ``classify`` are a dict, and the other five are test helpers in
+    # conftest
     removed = {
         "reach": ["DiffMatrix"],
-        "binmat": ["row_col_sums", "reflect_vertical"],
+        "binmat": ["row_col_sums", "reflect_vertical", "MatrixClass"],
         "graph": ["apply_sym_switch"],
         "oracle": ["margin_space", "graphical_sequences"],
     }

@@ -69,9 +69,9 @@ def reference_picks(g):
 
 class TestSampler:
     def test_sink_returns_none(self):
-        g = complete_graph(6)
+        adj = complete_graph(6).writable_bits()
         rng = np.random.default_rng(0)
-        assert sample_negative_checkerboard(g.writable_bits(), rng) is None
+        assert sample_negative_checkerboard(adj, rng, sym_board_pair_counts(adj, NEGATIVE)) is None
 
     def test_single_board_found(self):
         # path 2-1-3 plus edge 4-... build a sorted graph with exactly one
@@ -83,10 +83,10 @@ class TestSampler:
             if len(find_sym_checkerboards(cand, NEGATIVE)) == 1:
                 g = cand
         only = find_sym_checkerboards(g, NEGATIVE)[0]
+        adj = g.writable_bits()
+        counts = sym_board_pair_counts(adj, NEGATIVE)
         for trial_seed in range(5):
-            out = sample_negative_checkerboard(
-                g.writable_bits(), np.random.default_rng(trial_seed)
-            )
+            out = sample_negative_checkerboard(adj, np.random.default_rng(trial_seed), counts)
             assert out == only
 
     def test_uniform_within_5_sigma(self):
@@ -100,8 +100,10 @@ class TestSampler:
         k = len(boards)
         draws = 10000
         rng = np.random.default_rng(7)
+        adj = g.writable_bits()
+        table = sym_board_pair_counts(adj, NEGATIVE)
         counts = Counter(
-            sample_negative_checkerboard(g.writable_bits(), rng) for _ in range(draws)
+            sample_negative_checkerboard(adj, rng, table) for _ in range(draws)
         )
         assert set(counts) == set(boards)
         expect = draws / k
@@ -144,8 +146,9 @@ class TestSampler:
         assert checked > 0
 
     def test_tiny_graph(self):
-        g = Graph(np.zeros((3, 3), dtype=int))
-        assert sample_negative_checkerboard(g.writable_bits(), np.random.default_rng(0)) is None
+        adj = Graph(np.zeros((3, 3), dtype=int)).writable_bits()
+        counts = sym_board_pair_counts(adj, NEGATIVE)
+        assert sample_negative_checkerboard(adj, np.random.default_rng(0), counts) is None
 
 
 class TestRun:
@@ -204,7 +207,7 @@ class TestRun:
         checked = []
         sample = optimize.sample_negative_checkerboard
 
-        def checking_sample(adj, rng, counts=None):
+        def checking_sample(adj, rng, counts):
             assert np.array_equal(counts, sym_board_pair_counts(adj, NEGATIVE))
             checked.append(int(counts.sum()))
             return sample(adj, rng, counts)
@@ -223,7 +226,7 @@ class TestRun:
     def test_stale_table_at_sink_raises(self, monkeypatch):
         # a table that reads empty while boards remain must not pass as a sink
         monkeypatch.setattr(
-            optimize, "sample_negative_checkerboard", lambda adj, rng, counts=None: None
+            optimize, "sample_negative_checkerboard", lambda adj, rng, counts: None
         )
         with pytest.raises(InternalInvariantViolation):
             run(sorted_er(14, 0.4, seed=19), budget=10, lambda_every=0, seed=1)

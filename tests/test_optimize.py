@@ -70,8 +70,8 @@ def reference_picks(g):
 class TestSampler:
     def test_sink_returns_none(self):
         adj = complete_graph(6).writable_bits()
-        rng = np.random.default_rng(0)
-        assert sample_negative_checkerboard(adj, rng, sym_board_pair_counts(adj, NEGATIVE)) is None
+        counts = sym_board_pair_counts(adj, NEGATIVE)
+        assert sample_negative_checkerboard(adj, np.random.default_rng(0), counts) is None
 
     def test_single_board_found(self):
         # path 2-1-3 plus edge 4-... build a sorted graph with exactly one

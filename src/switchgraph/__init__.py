@@ -50,7 +50,7 @@ from .graph import (
     spectral_radius,
     zagreb,
 )
-from .optimize import Trajectory, TrajectoryStep, run, sample_negative_checkerboard
+from .optimize import Trajectory, run, sample_negative_checkerboard
 from .reach import (
     ReachVerdict,
     build_path,

@@ -8,7 +8,7 @@ inputs.
 
 Exit codes: 0 success or reachable, 1 domain-negative result (unreachable
 or infeasible), 2 unknown or degenerate, 64 usage error, 65 bad data,
-66 unreadable input file.
+66 unreadable input file, 73 output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 
 class _UsageExit(Exception):
@@ -110,15 +111,23 @@ def _load_matrix(path: str) -> BinaryMatrix:
     try:
         return binmat.read_matrix(path)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}", EXIT_NOINPUT) from exc
+        raise _CommandError(f"cannot read {path}: {exc}", EXIT_NOINPUT) from exc
     except MatrixFormatError as exc:
-        raise _InputError(f"{path}: {exc}", EXIT_DATA) from exc
+        raise _CommandError(f"{path}: {exc}", EXIT_DATA) from exc
 
 
-class _InputError(Exception):
+class _CommandError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _write_output(write, value, path: str) -> None:
+    """``write(value, path)``; a path that cannot be written exits 73."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise _CommandError(f"cannot write {path}: {exc}", EXIT_CANTCREAT) from exc
 
 
 def _load_margins(path: str) -> tuple[list[int], list[int]]:
@@ -128,18 +137,18 @@ def _load_margins(path: str) -> tuple[list[int], list[int]]:
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}", EXIT_NOINPUT) from exc
+        raise _CommandError(f"cannot read {path}: {exc}", EXIT_NOINPUT) from exc
     if len(lines) != 2:
-        raise _InputError(f"{path}: expected two lines of margins", EXIT_DATA)
+        raise _CommandError(f"{path}: expected two lines of margins", EXIT_DATA)
     try:
         R = [int(tok) for tok in lines[0].split()]
         C = [int(tok) for tok in lines[1].split()]
     except ValueError as exc:
-        raise _InputError(f"{path}: bad margin value: {exc}", EXIT_DATA) from exc
+        raise _CommandError(f"{path}: bad margin value: {exc}", EXIT_DATA) from exc
     if not R or not C:
-        raise _InputError(f"{path}: empty margin vector", EXIT_DATA)
+        raise _CommandError(f"{path}: empty margin vector", EXIT_DATA)
     if min(R + C) < 0:
-        raise _InputError(f"{path}: negative margin value", EXIT_DATA)
+        raise _CommandError(f"{path}: negative margin value", EXIT_DATA)
     return R, C
 
 
@@ -160,7 +169,7 @@ def _cmd_gen(args) -> int:
         except InfeasibleMargins as exc:
             _emit(args, error=str(exc))
             return EXIT_NEGATIVE
-    binmat.write_matrix(mat, args.out)
+    _write_output(binmat.write_matrix, mat, args.out)
     _emit(args, out=args.out, p=mat.p, q=mat.q, ones=int(mat.bits.sum()))
     return EXIT_OK
 
@@ -207,7 +216,7 @@ def _reach_verdict(args) -> reach.ReachVerdict:
     try:
         return reach.build_path(A, B, bfs_cap=args.bfs_cap)
     except (DimensionMismatch, MarginMismatch) as exc:
-        raise _InputError(str(exc), EXIT_DATA) from exc
+        raise _CommandError(str(exc), EXIT_DATA) from exc
 
 
 def _verdict_exit(verdict: reach.ReachVerdict) -> int:
@@ -248,23 +257,23 @@ def _cmd_optimize(args) -> int:
         try:
             g0 = graph.Graph(mat.bits)
         except ValueError as exc:
-            raise _InputError(f"not an adjacency matrix: {exc}", EXIT_DATA) from exc
+            raise _CommandError(f"not an adjacency matrix: {exc}", EXIT_DATA) from exc
     elif args.gen == "er":
         g0 = graph.gen_erdos_renyi(args.n, args.p, args.seed)
     elif args.gen == "grid":
         g0 = graph.gen_small_world(args.side, args.rewire, args.seed)
     else:
-        raise _InputError("one of --input or --gen is required", EXIT_DATA)
+        raise _CommandError("one of --input or --gen is required", EXIT_DATA)
     g0, _ = graph.sort_by_degree(g0)
     traj = optimize.run(
         g0, budget=args.budget, lambda_every=args.lambda_every, seed=args.seed
     )
     if args.out_csv:
-        optimize.write_trajectory_csv(traj, args.out_csv)
+        _write_output(optimize.write_trajectory_csv, traj, args.out_csv)
     if args.out_initial:
-        binmat.write_matrix(traj.initial, args.out_initial)
+        _write_output(binmat.write_matrix, traj.initial, args.out_initial)
     if args.out_final:
-        binmat.write_matrix(traj.final, args.out_final)
+        _write_output(binmat.write_matrix, traj.final, args.out_final)
     rel = (
         (traj.lambda1_final - traj.lambda1_initial) / traj.lambda1_initial
         if traj.lambda1_initial
@@ -290,7 +299,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if (args.margins is None) == (args.degrees is None):
-        raise _InputError("exactly one of --margins or --degrees is required", EXIT_DATA)
+        raise _CommandError("exactly one of --margins or --degrees is required", EXIT_DATA)
     by_margins = args.margins is not None
     if by_margins:  # the report's config names only the mode given
         del args.degrees
@@ -301,7 +310,7 @@ def _cmd_enumerate(args) -> int:
         try:
             args.D = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
         except ValueError as exc:
-            raise _InputError(f"bad degree list: {exc}", EXIT_DATA) from exc
+            raise _CommandError(f"bad degree list: {exc}", EXIT_DATA) from exc
         members = oracle.iter_degree_class(args.D)
     try:
         members = np.array(list(itertools.islice(members, args.max_states + 1)), dtype=np.int8)
@@ -408,9 +417,7 @@ def _cmd_scan_conjecture(args) -> int:
                 )
             )
     if args.out:
-        with open(args.out, "a", encoding="ascii") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        _write_output(_append_lines, lines, args.out)
     _emit(
         args,
         classes_scanned=scanned,
@@ -418,6 +425,12 @@ def _cmd_scan_conjecture(args) -> int:
         counterexamples=counterexamples,
     )
     return EXIT_OK
+
+
+def _append_lines(lines: list[str], path: str) -> None:
+    with open(path, "a", encoding="ascii") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +545,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except _InputError as exc:
+    except _CommandError as exc:
         print(f"switchgraph: {exc}", file=sys.stderr)
         return exc.code
     except SwitchGraphError as exc:

@@ -15,6 +15,11 @@ touch the four switched rows after each switch.  Every step is an exact
 uniform pick from that table, and an empty table is the sink, confirmed by
 one more full count once the table is released, so a run never holds two.
 
+A run records each step in growing typed arrays: the four switch
+coordinates and M2, 40 bytes a step, with lambda1 samples in a dict by
+step.  So a run holds its board table (32 n^2 bytes) plus about 40 bytes a
+step, and the CSV writer streams its lines from those arrays in blocks.
+
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
 fixed seed replays the trajectory byte for byte.  At the sizes a dense
 table fits, a step's time is mostly the fixed cost of each numpy call, so
@@ -24,6 +29,7 @@ the sampler and the table update keep their call counts small.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +49,8 @@ TERMINATION_SINK = "SinkReached"
 TERMINATION_BUDGET = "BudgetExhausted"
 
 CSV_HEADER = "step,i,j,k,l,M2,Z2,lambda1"
-
-
-@dataclass(frozen=True)
-class TrajectoryStep:
-    step: int
-    coord: Switch
-    M2: int
-    Z2: float
-    lambda1: float | None
+# trajectory rows rendered per block: the writer holds one block's lines
+_CSV_BLOCK = 128
 
 
 @dataclass
@@ -71,9 +70,15 @@ class RunStats:
         return rep.lambda1
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    steps: list[TrajectoryStep]
+    """One run.  Row s - 1 of ``switches`` (the 1-based i, j, k, l) and of
+    ``M2`` is step s; ``lambda1_samples`` maps each sampled step to its
+    lambda1.  Both arrays are read-only int64."""
+
+    switches: np.ndarray
+    M2: np.ndarray
+    lambda1_samples: dict[int, float]
     termination: str
     initial: Graph
     final: Graph
@@ -85,15 +90,15 @@ class Trajectory:
 
     @property
     def M2_final(self) -> int:
-        return self.steps[-1].M2 if self.steps else self.M2_initial
+        return int(self.M2[-1]) if self.length else self.M2_initial
 
     @property
     def Z2_final(self) -> float | None:
-        return self.steps[-1].Z2 if self.steps else self.Z2_initial
+        return math.sqrt(self.M2_final / self.initial.m) if self.length else self.Z2_initial
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.M2)
 
 
 def sample_negative_checkerboard(
@@ -153,8 +158,9 @@ def run(
     """Drive ``G0`` through random positive switches.
 
     The spectral radius is recorded at step 0, at termination, and at
-    every ``lambda_every``-th step (0 disables per-step sampling); M2 and
-    Z2 are updated every step via the O(1) degree-product delta.  A sink
+    every ``lambda_every``-th step (0 disables per-step sampling); M2 is
+    updated every step via the O(1) degree-product delta, and Z2 is
+    derived from it on read.  A sink
     found by the maintained board table is confirmed by one full count.
     """
     if not G0.is_degree_sorted():
@@ -168,7 +174,9 @@ def run(
     stats = RunStats()
     lam0 = stats.lambda1(G0)
     table = NegativeBoardTable(adj)
-    steps: list[TrajectoryStep] = []
+    switches = array("q")
+    m2s = array("q")
+    samples: dict[int, float] = {}
     termination = TERMINATION_BUDGET
     for step in range(1, budget + 1):
         coord = sample_negative_checkerboard(adj, rng, table.counts)
@@ -182,15 +190,16 @@ def run(
             break
         table.switch(coord)
         m2 += m2_switch_delta(degrees, coord)
-        z2 = math.sqrt(m2 / m)
-        lam = None
+        switches.extend(coord)
+        m2s.append(m2)
         if lambda_every and step % lambda_every == 0:
-            lam = stats.lambda1(Graph._wrap(adj.copy()))
-        steps.append(TrajectoryStep(step, coord, m2, z2, lam))
+            samples[step] = stats.lambda1(Graph._wrap(adj.copy()))
     final = Graph._wrap(adj)
     lam_final = stats.lambda1(final)
     return Trajectory(
-        steps=steps,
+        switches=_frozen(switches).reshape(-1, 4),
+        M2=_frozen(m2s),
+        lambda1_samples=samples,
         termination=termination,
         initial=G0,
         final=final,
@@ -202,31 +211,44 @@ def run(
     )
 
 
+def _frozen(values: array) -> np.ndarray:
+    """``values`` as a read-only int64 array over the same memory."""
+    out = np.frombuffer(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _csv_lines(traj: Trajectory):
+    """The CSV's lines, each ending in a newline; step 0 carries the initial
+    M2/Z2/lambda1 and no coordinates, and the last step always carries
+    lambda1.  Steps are rendered ``_CSV_BLOCK`` rows at a time."""
+    yield CSV_HEADER + "\n"
+    yield f"0,,,,,{traj.M2_initial},{_fmt(traj.Z2_initial)},{_fmt(traj.lambda1_initial)}\n"
+    m = traj.initial.m
+    last = traj.length
+    samples = traj.lambda1_samples
+    for start in range(0, last, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, last)
+        rows = traj.switches[start:stop].tolist()
+        m2s = traj.M2[start:stop].tolist()
+        for step, (i, j, k, l), m2 in zip(range(start + 1, stop + 1), rows, m2s):
+            lam = samples.get(step, traj.lambda1_final if step == last else None)
+            yield f"{step},{i},{j},{k},{l},{m2},{math.sqrt(m2 / m)!r},{_fmt(lam)}\n"
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """CSV rendering; step 0 carries the initial M2/Z2/lambda1, no coords."""
-    lines = [CSV_HEADER]
-    lines.append(
-        f"0,,,,,{traj.M2_initial},{_fmt(traj.Z2_initial)},{_fmt(traj.lambda1_initial)}"
-    )
-    last = len(traj.steps)
-    for pos, st in enumerate(traj.steps, start=1):
-        lam = st.lambda1
-        if pos == last and lam is None:
-            lam = traj.lambda1_final
-        lines.append(
-            f"{st.step},{st.coord.i},{st.coord.j},{st.coord.k},{st.coord.l},"
-            f"{st.M2},{_fmt(st.Z2)},{_fmt(lam)}"
-        )
-    return "\n".join(lines) + "\n"
+    """The trajectory as CSV text, the bytes ``write_trajectory_csv`` writes."""
+    return "".join(_csv_lines(traj))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Stream the CSV to ``path`` without building it in memory."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(trajectory_csv(traj))
+        fh.writelines(_csv_lines(traj))
 
 
 # ---------------------------------------------------------------------------

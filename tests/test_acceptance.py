@@ -390,7 +390,7 @@ def test_criterion_08_simulation_reproduction():
         rel = (traj.lambda1_final - traj.lambda1_initial) / traj.lambda1_initial
         sparse_rel.append(rel)
         sparse_ok &= rel >= 0.10 and traj.termination == optimize.TERMINATION_SINK
-        m2s = [traj.M2_initial] + [s.M2 for s in traj.steps]
+        m2s = [traj.M2_initial] + traj.M2.tolist()
         monotone_ok &= all(b >= a for a, b in zip(m2s, m2s[1:]))
         mm = optimize.structure_mismatch(traj.final)
         mismatch_ok &= mm["anti_zebra"] < mm["zebra"]
@@ -401,7 +401,7 @@ def test_criterion_08_simulation_reproduction():
         rel = (traj.lambda1_final - traj.lambda1_initial) / traj.lambda1_initial
         dense_rel.append(rel)
         dense_ok &= rel < 0.03
-        m2s = [traj.M2_initial] + [s.M2 for s in traj.steps]
+        m2s = [traj.M2_initial] + traj.M2.tolist()
         monotone_ok &= all(b >= a for a, b in zip(m2s, m2s[1:]))
         mm = optimize.structure_mismatch(traj.final)
         mismatch_ok &= mm["zebra"] < mm["anti_zebra"]

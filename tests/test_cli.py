@@ -379,6 +379,33 @@ class TestScanConjecture:
         assert after > before
 
 
+def assert_cannot_write(capsys, path, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CANTCREAT == 73
+    assert out == ""  # no report
+    assert err.startswith(f"switchgraph: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 73 with one line."""
+
+    def test_gen(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "g.mat")
+        assert_cannot_write(capsys, path, "gen", "er", "--n", "10", "--p", "0.5", "--out", path)
+
+    @pytest.mark.parametrize("option", ["--out-csv", "--out-initial", "--out-final"])
+    def test_optimize(self, tmp_path, capsys, option):
+        path = str(tmp_path / "missing" / "x")
+        assert_cannot_write(
+            capsys, path, "optimize", "--gen", "er", "--n", "10", "--p", "0.5", option, path
+        )
+
+    def test_scan_conjecture(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "scan.jsonl")
+        assert_cannot_write(capsys, path, "scan-conjecture", "--trials", "3", "--out", path)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 64
@@ -641,7 +668,7 @@ def test_public_api():
         "InvalidSwitch", "MarginMismatch", "MarginSumMismatch",
         "MatrixFormatError", "NEGATIVE", "NonGraphical", "POSITIVE",
         "ReachVerdict", "SpectralReport", "Switch", "SwitchGraphError",
-        "Trajectory", "TrajectoryStep", "apply_path", "apply_switch",
+        "Trajectory", "apply_path", "apply_switch",
         "assortativity", "binmat", "build_path", "check_conditions", "classify",
         "complement", "compute_T", "dense_spectral_radius", "diff", "errors",
         "find_checkerboards", "find_sym_checkerboards", "from_margins",
@@ -652,13 +679,14 @@ def test_public_api():
         "validate_path", "write_matrix", "zagreb",
     ]
     # names that left the package: a difference is a plain array, the flags
-    # of ``classify`` are a dict, and the other five are test helpers in
-    # conftest
+    # of ``classify`` are a dict, a trajectory's steps are its arrays, and
+    # the other five are test helpers in conftest
     removed = {
         "reach": ["DiffMatrix"],
         "binmat": ["row_col_sums", "reflect_vertical", "MatrixClass"],
         "graph": ["apply_sym_switch"],
         "oracle": ["margin_space", "graphical_sequences"],
+        "optimize": ["TrajectoryStep"],
     }
     for module, names in removed.items():
         mod = importlib.import_module(f"switchgraph.{module}")

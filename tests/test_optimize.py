@@ -1,12 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from switchgraph import optimize, oracle
-from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
+from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix, Switch
 from switchgraph.errors import InternalInvariantViolation
 from switchgraph.graph import (
     Graph,
@@ -155,7 +156,7 @@ class TestRun:
     def test_complete_graph_sinks_immediately(self):
         traj = run(complete_graph(5), budget=100, seed=0)
         assert traj.termination == TERMINATION_SINK
-        assert traj.steps == []
+        assert traj.length == 0 and traj.switches.shape == (0, 4)
         assert traj.lambda1_initial == pytest.approx(4.0, abs=1e-9)
 
     def test_requires_sorted(self):
@@ -167,7 +168,7 @@ class TestRun:
     def test_m2_non_decreasing_and_degrees_fixed(self):
         g = sorted_er(30, 0.3, seed=11)
         traj = run(g, budget=200, lambda_every=0, seed=2)
-        m2s = [traj.M2_initial] + [s.M2 for s in traj.steps]
+        m2s = [traj.M2_initial] + traj.M2.tolist()
         assert all(b >= a for a, b in zip(m2s, m2s[1:]))
         assert traj.initial.degrees.tobytes() == traj.final.degrees.tobytes()
         # recorded M2 matches a from-scratch recount at the endpoint
@@ -189,18 +190,43 @@ class TestRun:
         g = sorted_er(14, 0.4, seed=19)
         traj = run(g, budget=50, lambda_every=0, seed=5)
         cur = g
-        for st in traj.steps:
-            cur = apply_sym_switch(cur, st.coord, POSITIVE)  # raises if invalid
+        for row in traj.switches.tolist():
+            cur = apply_sym_switch(cur, Switch(*row), POSITIVE)  # raises if invalid
         assert cur == traj.final
 
     def test_lambda_sampling_stride(self):
         g = sorted_er(20, 0.3, seed=23)
         traj = run(g, budget=12, lambda_every=5, seed=6)
-        for st in traj.steps:
-            if st.step % 5 == 0:
-                assert st.lambda1 is not None
-            elif st.step != traj.length:
-                assert st.lambda1 is None
+        assert traj.length == 12
+        assert sorted(traj.lambda1_samples) == [5, 10]
+
+    def test_arrays(self):
+        g = sorted_er(20, 0.3, seed=23)
+        traj = run(g, budget=12, lambda_every=5, seed=6)
+        assert traj.switches.shape == (12, 4) and traj.M2.shape == (12,)
+        for values in (traj.switches, traj.M2):
+            assert values.dtype == np.int64 and not values.flags.writeable
+        assert traj.M2_final == traj.M2[-1]
+        assert traj.Z2_final == math.sqrt(traj.M2_final / g.m)
+
+    def test_memory_flat_in_length(self, tmp_path):
+        # a run plus its CSV holds its board table and a few arrays: the
+        # traced peak grows by well under 64 B for each extra step
+        g = sorted_er(100, 0.2, seed=0)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for budget in (200, 2200):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                traj = run(g, budget=budget, lambda_every=25, seed=0)
+                write_trajectory_csv(traj, tmp_path / f"{budget}.csv")
+                peaks[budget] = tracemalloc.get_traced_memory()[1] - base
+                assert traj.termination == TERMINATION_BUDGET
+                del traj
+        finally:
+            tracemalloc.stop()
+        assert (peaks[2200] - peaks[200]) / 2000 < 64, peaks
 
     def test_board_table_stays_exact(self, monkeypatch):
         # every table run() hands the sampler equals a from-scratch count
@@ -253,14 +279,31 @@ class TestRun:
             (24, 0.5, 2, "559515970c681cea4c755e55aa7fb222c8ad30169c59ab04b6de69cd808328fa"),
         ],
     )
-    def test_golden_trajectory(self, n, p, seed, digest):
+    def test_golden_trajectory(self, n, p, seed, digest, tmp_path):
         # one RNG draw per step and an exact table: the CSV and the final
         # matrix of a seeded run to the sink are pinned byte for byte (the
         # lambda1 column is float power iteration, so on one numpy build)
         traj = run(sorted_er(n, p, seed), budget=10**6, lambda_every=25, seed=seed)
         assert traj.termination == TERMINATION_SINK
-        text = trajectory_csv(traj) + traj.final.to_text()
+        csv = trajectory_csv(traj)
+        text = csv + traj.final.to_text()
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == csv.encode("ascii")
+
+    @pytest.mark.parametrize("budget", [50, 51])
+    def test_writer_matches_text_at_budget(self, budget, tmp_path):
+        # the last row's lambda1 is the step-50 sample, or lambda1_final at 51
+        traj = run(sorted_er(40, 0.3, 5), budget=budget, lambda_every=25, seed=5)
+        assert traj.termination == TERMINATION_BUDGET and traj.length == budget
+        csv = trajectory_csv(traj)
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == csv.encode("ascii")
+        last = csv.rstrip("\n").rsplit("\n", 1)[1].split(",")
+        assert last[0] == str(budget)
+        expect = traj.lambda1_samples[50] if budget == 50 else traj.lambda1_final
+        assert last[7] == repr(expect)
+        assert sorted(traj.lambda1_samples) == [25, 50]
 
     def test_reproducible(self):
         g = sorted_er(25, 0.3, seed=29)

@@ -130,6 +130,16 @@ def _write_output(write, value, path: str) -> None:
         raise _CommandError(f"cannot write {path}: {exc}", EXIT_CANTCREAT) from exc
 
 
+def _claim_outputs(*paths: str | None) -> None:
+    """Open each given output path for appending, writing nothing, so that
+    one which cannot be written exits 73 before the work rather than after
+    it.  A missing file is created empty; an existing one keeps its bytes
+    until the command writes it."""
+    for path in paths:
+        if path:  # as for the writes, an empty path names no output
+            _write_output(_append_lines, [], path)
+
+
 def _load_margins(path: str) -> tuple[list[int], list[int]]:
     """Margins file: line 1 row sums, line 2 column sums, space separated.
     A non-ASCII byte reads as U+FFFD, a bad margin value."""
@@ -264,6 +274,7 @@ def _cmd_optimize(args) -> int:
         g0 = graph.gen_small_world(args.side, args.rewire, args.seed)
     else:
         raise _CommandError("one of --input or --gen is required", EXIT_DATA)
+    _claim_outputs(args.out_csv, args.out_initial, args.out_final)
     g0, _ = graph.sort_by_degree(g0)
     traj = optimize.run(
         g0, budget=args.budget, lambda_every=args.lambda_every, seed=args.seed
@@ -370,6 +381,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_scan_conjecture(args) -> int:
+    _claim_outputs(args.out)
     rng = np.random.default_rng(args.seed)
     scanned = 0
     diffs_seen = 0

@@ -111,15 +111,17 @@ def sym_board_pair_counts(adj: np.ndarray, sign: str) -> np.ndarray:
     This is the ``counts`` of a :class:`NegativeBoardTable`, so the full
     count and the optimizer's update run one kernel.  The positive
     boards of A are the negative boards of its complement with a zero
-    diagonal (no board touches the diagonal).  The kernel runs over row
-    blocks in float64 BLAS (about 1 ms at n = 100), exact because every
-    term is an integer below n^3; the table's helpers and the result take
-    32 n^2 bytes, and a row block about 0.5 MB more.
+    diagonal (no board touches the diagonal), built in the table's dtype.
+    The kernel runs over row blocks in float32 BLAS up to n =
+    ``_FLOAT32_MAX_N`` and in float64 above (about 1 ms at n = 100),
+    exact because every value it forms is an integer below n^2; the
+    table's helpers and the result take 20 n^2 bytes in float32, and a
+    row block about 0.25 MB more.
     """
     if sign == POSITIVE:
-        # built in float64, the complement is the table's A as it is
-        adj = 1.0 - adj
-        np.fill_diagonal(adj, 0.0)
+        # the complement is the table's A as it is
+        adj = np.subtract(1, adj, dtype=_helper_dtype(adj.shape[0]))
+        np.fill_diagonal(adj, 0)
     return NegativeBoardTable(adj).counts
 
 
@@ -129,9 +131,21 @@ def count_sym_checkerboards(adj: np.ndarray, sign: str) -> int:
 
 
 # Cells per row block of the full count in ``NegativeBoardTable``: the
-# kernel's 16 or so float64 temporaries each hold r x n cells for a block
-# of r rows, so a block takes about 0.5 MB beside the helpers and the table.
+# kernel's 16 or so temporaries each hold r x n cells for a block of r
+# rows, so a block takes about 0.25 MB beside the helpers and the table
+# (0.5 MB with float64 helpers).
 _COUNT_BLOCK_CELLS = 1 << 12
+
+# Most vertices for which a ``NegativeBoardTable`` keeps its helpers in
+# float32.  Set by exactness, not speed: the values behind each count are
+# integers below n^2 (for n >= 4), and float32 holds every integer up to
+# 2^24 = 4096^2.
+_FLOAT32_MAX_N = 1 << 12
+
+
+def _helper_dtype(n: int) -> type:
+    """The dtype of a board table's helpers on n vertices."""
+    return np.float32 if n <= _FLOAT32_MAX_N else np.float64
 
 
 class NegativeBoardTable:
@@ -161,36 +175,61 @@ class NegativeBoardTable:
     places share C(c, 2) and the product terms.  The count from scratch
     runs the kernel over row blocks of about ``_COUNT_BLOCK_CELLS / n``
     rows and keeps the pairs (r, b) with b > r, about 1 ms at n = 100.
-    ``switch`` runs it on its four rows and writes both halves back, one
-    row segment and one column segment per row r.  A switch changes A and
-    tril(A, -1) only at eight entries of its 4 x 4 block and Q only in
-    its four rows, which the kernel refreshes, so the helpers stay
-    current in O(n) per switch.
-
-    The helpers are three float64 n x n arrays (24 n^2 bytes), so the
-    products run in BLAS; with the int64 table a table holds 32 n^2
-    bytes, and the full count needs about 0.5 MB more.  Every value,
-    partial or final, is an integer below n^3, which float64 holds
-    exactly for n up to 2^17, far beyond any dense matrix that fits in
-    memory.  So the arithmetic may be grouped and ordered freely: the
-    table equals, entry for entry, a count by any other method.
+    ``switch`` checks the switch, applies it to ``adj``, runs the kernel
+    on its four rows and writes both halves back, one row segment and
+    one column segment per row r.
 
     Besides A, Q and tril(A, -1) the table keeps P_b(b), the 1s of each
-    row left of the diagonal (row b of tril(A, -1) summed), and the
-    degrees.  ``switch`` writes the eight changed entries of A, the four
-    of tril(A, -1) and the four changed P_b(b) as scalars before the
-    kernel runs.
+    row left of the diagonal, and the degrees.  Row b of each helper
+    reads only row b of A, and the kernel first refreshes its rows of A,
+    Q, tril(A, -1) and P_b(b) from ``adj``.  A symmetric switch changes A
+    only in its four rows, so after ``switch`` every helper is current.
+
+    For n up to ``_FLOAT32_MAX_N`` = 4096 the helpers are float32, so the
+    products run in sgemm; above that they are float64.  In float32 the
+    helpers take 12 n^2 bytes and, with the int64 ``counts``, a table
+    holds 20 n^2 bytes (32 n^2 in float64); the full count needs about
+    0.25 MB more.
+
+    Exactness: every value the kernel forms for an entry it returns as a
+    count (b > r in the first array, b < r in the second), partial or
+    final, is an integer of magnitude below max(n^2, 3n), at most 2^24
+    for n <= 4096, and float32 holds every integer up to 2^24.  The other
+    entries are discarded.  For such a pair:
+
+    - Stack and helper entries are integers in [0, n): 0/1 entries,
+      S_r(k), P_b(l) and Q.
+    - Each product entry sums non-negative integer terms, so any partial
+      sum, in any order BLAS takes, lies between 0 and the full sum.  Each
+      full sum counts columns (below n) or column pairs k < l (below
+      n^2 / 2): sum_k a_bk (1-a_rk) S_r(k) counts the pairs with a_bk =
+      a_rl = 1 > a_rk, and sum_l a_rl Q_bl those with a_bk = a_bl = a_rl
+      = 1.
+    - C(c, 2) counts the pairs with all four entries 1, disjoint from the
+      first set, so C(c, 2) plus the first sum is below n^2 / 2 too, and
+      the shared part stays within +-n^2 / 2 at every step ((c - 1) c is
+      even and below n^2).
+    - The linear terms (degrees less c, P_b(b), S_r(r), the common
+      neighbours right of r or left of b, and the factor of a_rb built
+      from them) stay within +-3n at every step.
+    - (deg_r - c)(deg_b - c) multiplies the sizes of two disjoint column
+      sets, so it is at most n^2 / 4, and less the shared part it lies
+      within (-n^2 / 2, 3 n^2 / 4).
+    - The last step gives the count itself, in [0, n^2 / 2).
+
+    So the arithmetic may be grouped and ordered freely: the table
+    equals, entry for entry, a count by any other method.
     """
 
     def __init__(self, adj: np.ndarray):
         self.adj = adj
-        a = adj.astype(np.float64, copy=False)
-        n = a.shape[0]
+        n = adj.shape[0]
+        a = adj.astype(_helper_dtype(n), copy=False)
         self._a = a
         self._degrees = a.sum(axis=1)
         self._columns = np.arange(n)
         # Q stacked on tril(A, -1)
-        self._q_lower = np.empty((2 * n, n))
+        self._q_lower = np.empty((2 * n, n), dtype=a.dtype)
         q, lower = self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
         np.cumsum(a, axis=1, out=q)
         q -= a  # P
@@ -206,16 +245,21 @@ class NegativeBoardTable:
             self.counts[rows] = first
 
     def _recount(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Refresh Q in ``rows`` from A and count each row r of ``rows``
-        against every row b: the pair (r, b) in the first array, which
-        holds for b > r, and the pair (b, r) in the second, for b < r."""
+        """Refresh the helpers in ``rows`` from ``adj`` and count each row
+        r of ``rows`` against every row b: the pair (r, b) in the first
+        array, which holds for b > r, and the pair (b, r) in the second,
+        for b < r."""
         A, left = self._a, self._left
         m, n = rows.size, A.shape[0]
         # axis 0: row r; axis 1: every row b.  The stack holds (1-a_r) o S_r,
         # a_r, and a_r right of column r.
-        stack = np.empty((3 * m, n))
+        stack = np.empty((3 * m, n), dtype=A.dtype)
+        A[rows] = self.adj.take(rows, axis=0)
         a = A.take(rows, axis=0, out=stack[m : 2 * m])
-        np.multiply(a, self._columns > rows[:, None], out=stack[2 * m :])
+        right = np.multiply(a, self._columns > rows[:, None], out=stack[2 * m :])
+        # a_rr = 0, so a_r less a_r right of column r is row r of tril(A, -1)
+        lower = self._lower[rows] = a - right
+        left[rows] = lower.sum(axis=1)
         through = a.cumsum(axis=1)  # P_r + a_r, and deg_r - S_r
         deg_r = through[:, -1:]
         self._q[rows] = a * (through - 1.0)
@@ -254,19 +298,9 @@ class NegativeBoardTable:
         """Apply the positive switch ``coord`` to ``adj`` and bring
         ``counts`` up to date."""
         sym_switch_inplace(self.adj, coord, POSITIVE)
-        i, j, k, l = (v - 1 for v in coord)
-        A, lower, left = self._a, self._lower, self._left
-        A[i, k] = A[k, i] = A[j, l] = A[l, j] = 1.0
-        A[i, l] = A[l, i] = A[j, k] = A[k, j] = 0.0
-        # tril(A, -1) and P_b(b) change in the later row
-        lower[max(i, k), min(i, k)] = lower[max(j, l), min(j, l)] = 1.0
-        lower[max(i, l), min(i, l)] = lower[max(j, k), min(j, k)] = 0.0
-        left[max(i, k)] += 1.0
-        left[max(j, l)] += 1.0
-        left[max(i, l)] -= 1.0
-        left[max(j, k)] -= 1.0
-        first, second = self._recount(np.array((i, j, k, l)))
-        for r, above, below in zip((i, j, k, l), first, second):
+        rows = tuple(v - 1 for v in coord)
+        first, second = self._recount(np.array(rows))
+        for r, above, below in zip(rows, first, second):
             self.counts[r, r + 1 :] = above[r + 1 :]
             self.counts[:r, r] = below[:r]
 

@@ -17,8 +17,9 @@ one more full count once the table is released, so a run never holds two.
 
 A run records each step in growing typed arrays: the four switch
 coordinates and M2, 40 bytes a step, with lambda1 samples in a dict by
-step.  So a run holds its board table (32 n^2 bytes) plus about 40 bytes a
-step, and the CSV writer streams its lines from those arrays in blocks.
+step.  So a run holds its board table (20 n^2 bytes, with float32 helpers
+up to n = 4096) plus about 40 bytes a step, and the CSV writer streams its
+lines from those arrays in blocks.
 
 Randomness comes from numpy's seeded PCG64 generator, one draw per step; a
 fixed seed replays the trajectory byte for byte.  At the sizes a dense

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchgraph
-from switchgraph import binmat, cli, graph
+from switchgraph import binmat, cli, graph, optimize, oracle
 from switchgraph.binmat import NEGATIVE, POSITIVE, BinaryMatrix
 
 from conftest import (
@@ -404,6 +404,56 @@ class TestUnwritableOutput:
     def test_scan_conjecture(self, tmp_path, capsys):
         path = str(tmp_path / "missing" / "scan.jsonl")
         assert_cannot_write(capsys, path, "scan-conjecture", "--trials", "3", "--out", path)
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the work ran before the unwritable output was refused")
+
+
+class TestUnwritableOutputBeforeWork:
+    """An unwritable output exits 73 before the run or the scan starts."""
+
+    @pytest.mark.parametrize("option", ["--out-csv", "--out-initial", "--out-final"])
+    def test_optimize(self, tmp_path, capsys, monkeypatch, option):
+        monkeypatch.setattr(optimize, "run", refuse_to_run)
+        path = str(tmp_path / "missing" / "x")
+        assert_cannot_write(
+            capsys, path, "optimize", "--gen", "er", "--n", "400", "--p", "0.5", option, path
+        )
+
+    def test_optimize_reads_its_input_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "run", refuse_to_run)
+        missing = str(tmp_path / "missing")
+        code, out, err = run_cli(
+            capsys, "optimize", "--input", f"{missing}/g.mat", "--out-csv", f"{missing}/t.csv"
+        )
+        assert code == cli.EXIT_NOINPUT and out == ""
+
+    def test_scan_conjecture(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "enumerate_margins", refuse_to_run)
+        path = str(tmp_path / "missing" / "scan.jsonl")
+        assert_cannot_write(
+            capsys, path, "scan-conjecture", "--trials", "2000", "--max-dim", "5", "--out", path
+        )
+
+    def test_writable_outputs_keep_their_bytes(self, tmp_path, capsys):
+        # the check before the work creates nothing but the outputs, and an
+        # existing scan log is appended to, not truncated
+        scan = tmp_path / "scan.jsonl"
+        scan.write_text("kept\n")
+        code, _, _ = run_cli(capsys, "scan-conjecture", "--trials", "3", "--out", str(scan))
+        assert code == 0 and scan.read_text().startswith("kept\n")
+        csv, final = tmp_path / "t.csv", tmp_path / "f.mat"
+        csv.write_text("stale\n")
+        argv = ["optimize", "--gen", "er", "--n", "12", "--p", "0.4", "--seed", "2"]
+        code, _, _ = run_cli(capsys, *argv, "--out-csv", str(csv), "--out-final", str(final))
+        traj = optimize.run(
+            graph.sort_by_degree(graph.gen_erdos_renyi(12, 0.4, seed=2))[0], budget=100000, seed=2
+        )
+        assert code == 0
+        assert csv.read_text() == optimize.trajectory_csv(traj)
+        assert final.read_text() == traj.final.to_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.mat", "scan.jsonl", "t.csv"]
 
 
 class TestUsage:

@@ -383,6 +383,85 @@ class TestBoardPairCountsTwin:
         assert np.array_equal(table.counts, reference_sym_board_pair_counts(adj, NEGATIVE))
 
 
+class TestFloat32Limit:
+    """Board tables on both sides of the float32 limit, moved down to 12."""
+
+    LIMIT = 12
+
+    @staticmethod
+    def helper_dtypes(table):
+        return {
+            table._a.dtype, table._q_lower.dtype, table._left.dtype, table._degrees.dtype
+        }
+
+    @pytest.mark.parametrize("n", [4, 9, 11, 12, 13, 14, 20, 33])
+    def test_walks_match_reference(self, monkeypatch, n):
+        monkeypatch.setattr(graph, "_FLOAT32_MAX_N", self.LIMIT)
+        want = np.dtype(np.float32 if n <= self.LIMIT else np.float64)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            g, _ = sort_by_degree(random_graph(rng, n, float(rng.uniform(0.2, 0.8))))
+            adj = g.writable_bits()
+            table = graph.NegativeBoardTable(adj)
+            assert self.helper_dtypes(table) == {want}
+            for _ in range(40):
+                assert np.array_equal(table.counts, reference_sym_board_pair_counts(adj, NEGATIVE))
+                coord = sample_negative_checkerboard(adj, rng, table.counts)
+                if coord is None:
+                    break
+                table.switch(coord)
+            assert np.array_equal(table.counts, reference_sym_board_pair_counts(adj, NEGATIVE))
+            assert table.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [5, 12, 13, 24])
+    def test_counts_both_signs(self, monkeypatch, n):
+        monkeypatch.setattr(graph, "_FLOAT32_MAX_N", self.LIMIT)
+        want = np.dtype(np.float32 if n <= self.LIMIT else np.float64)
+        built = []
+
+        class Recording(graph.NegativeBoardTable):
+            def __init__(self, adj):
+                super().__init__(adj)
+                built.append(self)
+
+        monkeypatch.setattr(graph, "NegativeBoardTable", Recording)
+        for tenths in range(1, 10):
+            g, _ = sort_by_degree(gen_erdos_renyi(n, tenths / 10, seed=10 * n + tenths))
+            built.clear()
+            for sign in (POSITIVE, NEGATIVE):
+                got = graph.sym_board_pair_counts(g.adj, sign)
+                assert np.array_equal(got, reference_sym_board_pair_counts(g.adj, sign))
+            positive, negative = built
+            assert self.helper_dtypes(positive) == self.helper_dtypes(negative) == {want}
+            # the complement is built in the table's dtype, so it is A itself
+            assert positive._a is positive.adj
+
+
+class TestBoardTableMemory:
+    def test_float32_helpers(self):
+        n = 100
+        g, _ = sort_by_degree(gen_erdos_renyi(n, 0.3, seed=n))
+        table = graph.NegativeBoardTable(g.writable_bits())
+        # A, Q and tril(A, -1) in float32
+        assert table._a.nbytes + table._q_lower.nbytes == 12 * n**2
+
+    def test_count_traced_peak_float32(self):
+        # the helpers and the int64 table take 20 n^2 bytes; one float32 row
+        # block of the full count, fewer than 24 temporaries of
+        # _COUNT_BLOCK_CELLS cells, comes on top
+        n = 300
+        limit = 20 * n**2 + 24 * 4 * graph._COUNT_BLOCK_CELLS
+        g, _ = sort_by_degree(gen_erdos_renyi(n, 0.3, seed=n))
+        for sign in (POSITIVE, NEGATIVE):
+            tracemalloc.start()
+            try:
+                graph.sym_board_pair_counts(g.adj, sign)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (sign, peak)
+
+
 class TestApplySymSwitch:
     def test_involution_and_degrees(self):
         rng = np.random.default_rng(19)

@@ -410,6 +410,74 @@ class TestFindMotif:
                     )
 
 
+def fixed_polyominoes(max_cells):
+    """Every fixed polyomino with at most ``max_cells`` cells, as sorted
+    tuples of 1-based cells with smallest row and column 1, ordered by size
+    and then by cells."""
+    level = {frozenset({(1, 1)})}
+    shapes = []
+    for size in range(1, max_cells + 1):
+        shapes.extend(sorted(tuple(sorted(shape)) for shape in level))
+        grown = set()
+        for shape in level if size < max_cells else ():
+            for r, c in shape:
+                for dr, dc in _ORTHO:
+                    if (r + dr, c + dc) not in shape:
+                        cells = shape | {(r + dr, c + dc)}
+                        r0 = min(a for a, _ in cells) - 1
+                        c0 = min(b for _, b in cells) - 1
+                        grown.add(frozenset((a - r0, b - c0) for a, b in cells))
+        level = grown
+    return shapes
+
+
+def test_motif_digest_on_every_small_polyomino():
+    # the rectangle and kind that find_motif_cells returns for each of the
+    # 13,385 hole-free fixed polyominoes with at most 9 cells, pinned as one
+    # sha256 in the order of fixed_polyominoes
+    shapes = fixed_polyominoes(9)
+    assert len(shapes) == 13_702
+    digest = hashlib.sha256()
+    kinds = {1: 0, 2: 0, 3: 0}
+    for cells in shapes:
+        grid = np.zeros((max(r for r, _ in cells), max(c for _, c in cells)), dtype=np.int64)
+        grid[tuple(np.array(cells).T - 1)] = 1
+        if reach._has_hole(grid):
+            continue
+        rect, kind = find_motif_cells(set(cells))
+        kinds[kind] += 1
+        digest.update(repr((cells, rect, kind)).encode())
+    assert kinds == {1: 23, 2: 2_250, 3: 11_112}
+    assert digest.hexdigest() == "aebc440efdd1d5bc5d232ed7d52daf97995d7c7ee5770006af9e91b6be7cba98"
+
+
+def test_constructive_grids_meet_the_motif_precondition(monkeypatch):
+    # the motif finder reads the top component of each grid that the
+    # constructive loop crops; conditions (ii) and (iii) hold on every one
+    recorded = []
+    components = reach._level_components
+
+    def record(values, level):
+        recorded.append(values.copy())
+        return components(values, level)
+
+    rng = np.random.default_rng(20)
+    pairs = 0
+    for _ in range(300):
+        A, B = digest_pair(rng)
+        ci, cii, ciii, T = check_conditions(diff(A, B))
+        if not (ci and cii and ciii) or A == B:
+            continue
+        pairs += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(reach, "_level_components", record)
+            reach._constructive_path(A, B, T)
+    assert (pairs, len(recorded)) == (56, 125)
+    for grid in recorded:
+        _, cond_ii, cond_iii = reach.grid_conditions(grid[None])
+        assert cond_ii[0] and cond_iii[0]
+
+
 class TestBuildPath:
     def test_identical(self, pair_3x3):
         A, _ = pair_3x3

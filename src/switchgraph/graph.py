@@ -181,9 +181,13 @@ class NegativeBoardTable:
 
     Besides A, Q and tril(A, -1) the table keeps P_b(b), the 1s of each
     row left of the diagonal, and the degrees.  Row b of each helper
-    reads only row b of A, and the kernel first refreshes its rows of A,
-    Q, tril(A, -1) and P_b(b) from ``adj``.  A symmetric switch changes A
-    only in its four rows, so after ``switch`` every helper is current.
+    reads only row b of A, and the kernel refreshes its rows of A, Q,
+    tril(A, -1) and P_b(b) from ``adj`` before its products.  The table
+    starts Q, tril(A, -1) and P_b(b) at zero and builds them by that
+    refresh alone: the count from scratch runs its row blocks from the
+    last row up, so a kept pair (r, b), b > r, reads row b after its
+    refresh.  A symmetric switch changes A only in its four rows, so
+    after ``switch`` every helper is current.
 
     For n up to ``_FLOAT32_MAX_N`` = 4096 the helpers are float32, so the
     products run in sgemm; above that they are float64.  In float32 the
@@ -228,17 +232,15 @@ class NegativeBoardTable:
         self._a = a
         self._degrees = a.sum(axis=1)
         self._columns = np.arange(n)
-        # Q stacked on tril(A, -1)
-        self._q_lower = np.empty((2 * n, n), dtype=a.dtype)
-        q, lower = self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
-        np.cumsum(a, axis=1, out=q)
-        q -= a  # P
-        self._left = q.diagonal().copy()  # P_b(b), 1s left of the diagonal
-        q *= a
-        np.multiply(a, np.tri(n, k=-1, dtype=bool), out=lower)
+        # Q stacked on tril(A, -1), and P_b(b): zero until the kernel
+        # refreshes their rows
+        self._q_lower = np.zeros((2 * n, n), dtype=a.dtype)
+        self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
+        self._left = np.zeros(n, dtype=a.dtype)
         self.counts = np.empty((n, n), dtype=np.int64)
         step = max(1, _COUNT_BLOCK_CELLS // max(n, 1))
-        for start in range(0, n, step):
+        # last block first: the pairs (r, b) with b > r read refreshed rows
+        for start in reversed(range(0, n, step)):
             rows = self._columns[start : start + step]
             first, _ = self._recount(rows)
             first *= self._columns > rows[:, None]

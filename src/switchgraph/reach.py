@@ -13,10 +13,11 @@ polyominoes P_i = cells with t >= i) are jointly sufficient:
 One engine reads the level sets: ``_level_components`` lists each
 4-component of P_i as a bitboard.  Condition (ii) fills the complement of
 every component.  When (i)-(iii) hold, a directed path is built
-constructively by repeatedly locating a motif rectangle on the contour of
-the first top-level component and switching the checkerboard found at its
-corners.  Outside that regime a complete depth-first search over switches
-that fit the remaining T decides.
+constructively by repeatedly locating a motif rectangle on a side of the
+first top-level component, read by one scan per outward direction, and
+switching the checkerboard found at its corners.  Outside that regime a
+complete depth-first search over switches that fit the remaining T
+decides.
 
 T-grid cells are 1-based: cell (i, k) corresponds to the unitary switch
 (i, i+1, k, k+1).
@@ -202,132 +203,73 @@ def _condition_iii(v: np.ndarray):
 # Contour motifs
 # ---------------------------------------------------------------------------
 
-_RIGHT = "R"
-_LEFT = "L"
-
-
-def _rot_right(d: Cell) -> Cell:
-    return (d[1], -d[0])
-
-
-def _rot_left(d: Cell) -> Cell:
-    return (-d[1], d[0])
-
-
-def _trace_corners(cells: frozenset[Cell] | set[Cell]):
-    """Clockwise contour walk; returns the corner cycle.
-
-    Each entry is (vertex, turn) with turn "R" (convex) or "L" (concave).
-    The walk keeps the polyomino on the right-hand side, so the outer
-    boundary of a simply connected component is traversed exactly once.
-    """
-    edges: dict[Cell, list[Cell]] = {}
-    for r, c in cells:
-        if (r - 1, c) not in cells:
-            edges.setdefault((r, c), []).append((r, c + 1))
-        if (r, c + 1) not in cells:
-            edges.setdefault((r, c + 1), []).append((r + 1, c + 1))
-        if (r + 1, c) not in cells:
-            edges.setdefault((r + 1, c + 1), []).append((r + 1, c))
-        if (r, c - 1) not in cells:
-            edges.setdefault((r + 1, c), []).append((r, c))
-    start = min(edges)
-    walk = [start]
-    prev_dir: Cell | None = None
-    vertex = start
-    while True:
-        outs = edges[vertex]
-        if len(outs) == 1 or prev_dir is None:
-            nxt = outs[0]
-        else:
-            # Pinch vertex: prefer the rightmost continuation.  Valid level
-            # sets never pinch (diagonal contact is excluded), so this is
-            # purely defensive.
-            prefs = [_rot_right(prev_dir), prev_dir, _rot_left(prev_dir)]
-            by_dir = {
-                (o[0] - vertex[0], o[1] - vertex[1]): o for o in outs
-            }
-            nxt = next(by_dir[d] for d in prefs if d in by_dir)
-        prev_dir = (nxt[0] - vertex[0], nxt[1] - vertex[1])
-        vertex = nxt
-        if vertex == start:
-            break
-        walk.append(vertex)
-    n = len(walk)
-    corners = []
-    for t in range(n):
-        a, b, c = walk[t - 1], walk[t], walk[(t + 1) % n]
-        d_in = (b[0] - a[0], b[1] - a[1])
-        d_out = (c[0] - b[0], c[1] - b[1])
-        if d_out == d_in:
-            continue
-        turn = _RIGHT if d_out == _rot_right(d_in) else _LEFT
-        corners.append((b, turn))
-    return corners
-
-
 Rect = tuple[int, int, int, int]  # (i1, i2, k1, k2), 1-based inclusive cells
 
 
-def _bbox_rect(cells) -> Rect:
-    rows = [r for r, _ in cells]
-    cols = [c for _, c in cells]
-    return (min(rows), max(rows), min(cols), max(cols))
+def _inward(grid: set[complex], cell: complex, side: complex, out: complex) -> tuple[int, bool]:
+    """From ``cell``, the cells of a polyomino side's end column: how many
+    there are, stepping inward (-``out``) while the cell exists and its
+    neighbour towards ``side`` is empty, and whether the walk stops at a
+    concave corner (a cell on that neighbouring column)."""
+    n = 0
+    while cell - n * out in grid and cell - n * out + side not in grid:
+        n += 1
+    return n, cell - n * out + side in grid
 
 
 def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
     """Locate a motif rectangle on the contour of a polyomino.
 
-    Motif 1: the component itself is a rectangle.  Motifs 2 and 3 sit on a
-    straight contour segment joining two consecutive convex corners B, C;
-    the rectangle extends inward by the length of the shorter adjacent
-    side, whose far end must be a concave corner (both ends concave and of
-    equal length for motif 2).  Rotations and reflections arise naturally
-    from the walk.  The lexicographically smallest valid rectangle is
-    returned together with the motif kind.
+    The domain is a simply connected polyomino, which condition (ii) makes
+    of every top component the constructive builder crops.  Motif 1: the
+    component itself is a rectangle.  Motifs 2 and 3 sit on a straight side
+    B..C, a maximal run of cells with none beyond it, whose two ends are
+    convex corners.  The rectangle extends inward by the length of the
+    shorter adjacent side (AB or CD), whose far end must be a concave
+    corner (both ends concave and of equal length for motif 2).  Each side
+    is read by one scan per outward direction, with cells as complex
+    numbers ``row + col * 1j`` and ``along`` the clockwise direction of the
+    side.  On a polyomino with a hole the hole's sides are read too, and
+    every rectangle returned still lies in the set.  The lexicographically
+    smallest valid rectangle is returned together with the motif kind.
     """
     if not cells:
         raise ValueError("empty cell set")
-    r1, r2, c1, c2 = _bbox_rect(cells)
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    r1, r2, c1, c2 = min(rows), max(rows), min(cols), max(cols)
     if (r2 - r1 + 1) * (c2 - c1 + 1) == len(cells):
         return (r1, r2, c1, c2), 1
-    corners = _trace_corners(cells)
-    n = len(corners)
+    grid = {complex(r, c) for r, c in cells}
     best: tuple[Rect, int] | None = None
-    for idx in range(n):
-        (bv, bt) = corners[idx]
-        (cv, ct) = corners[(idx + 1) % n]
-        if bt != _RIGHT or ct != _RIGHT:
-            continue
-        (av, at) = corners[idx - 1]
-        (dv, dt) = corners[(idx + 2) % n]
-        len_ab = abs(av[0] - bv[0]) + abs(av[1] - bv[1])
-        len_cd = abs(cv[0] - dv[0]) + abs(cv[1] - dv[1])
-        if len_ab == len_cd and at == _LEFT and dt == _LEFT:
-            depth, kind = len_ab, 2
-        elif len_ab < len_cd and at == _LEFT:
-            depth, kind = len_ab, 3
-        elif len_cd < len_ab and dt == _LEFT:
-            depth, kind = len_cd, 3
-        else:
-            continue
-        seg = (cv[0] - bv[0], cv[1] - bv[1])
-        # Interior lies on the right-hand side of the clockwise walk.
-        norm = _rot_right((int(np.sign(seg[0])), int(np.sign(seg[1]))))
-        far_b = (bv[0] + depth * norm[0], bv[1] + depth * norm[1])
-        far_c = (cv[0] + depth * norm[0], cv[1] + depth * norm[1])
-        vr = sorted({bv[0], cv[0], far_b[0], far_c[0]})
-        vc = sorted({bv[1], cv[1], far_b[1], far_c[1]})
-        rect = (vr[0], vr[-1] - 1, vc[0], vc[-1] - 1)
-        inside = all(
-            (r, c) in cells
-            for r in range(rect[0], rect[1] + 1)
-            for c in range(rect[2], rect[3] + 1)
-        )
-        if not inside:
-            continue
-        if best is None or (rect, kind) < best:
-            best = (rect, kind)
+    for out in (-1, 1j, 1, -1j):  # up, right, down, left
+        along = -1j * out
+        for b in grid:
+            if b + out in grid or b - along in grid:
+                continue
+            c = b
+            while c + along in grid and c + along + out not in grid:
+                c += along
+            if c + along in grid:
+                continue  # C is a concave corner
+            len_ab, a_concave = _inward(grid, b, -along, out)
+            len_cd, d_concave = _inward(grid, c, along, out)
+            if len_ab == len_cd and a_concave and d_concave:
+                depth, kind = len_ab, 2
+            elif len_ab < len_cd and a_concave:
+                depth, kind = len_ab, 3
+            elif len_cd < len_ab and d_concave:
+                depth, kind = len_cd, 3
+            else:
+                continue
+            far = c - (depth - 1) * out
+            i1, i2 = sorted((int(b.real), int(far.real)))
+            k1, k2 = sorted((int(b.imag), int(far.imag)))
+            inside = all(
+                complex(r, k) in grid for r in range(i1, i2 + 1) for k in range(k1, k2 + 1)
+            )
+            if inside and (best is None or ((i1, i2, k1, k2), kind) < best):
+                best = ((i1, i2, k1, k2), kind)
     if best is None:
         raise InternalInvariantViolation(
             "no contour motif on a simply connected polyomino (internal bug)"

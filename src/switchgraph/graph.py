@@ -233,8 +233,9 @@ class NegativeBoardTable:
         self._degrees = a.sum(axis=1)
         self._columns = np.arange(n)
         # Q stacked on tril(A, -1), and P_b(b): zero until the kernel
-        # refreshes their rows
-        self._q_lower = np.zeros((2 * n, n), dtype=a.dtype)
+        # refreshes their rows.  np.full, not np.zeros: it maps every page
+        # now, where calloc's lazy pages would fault in during the count.
+        self._q_lower = np.full((2 * n, n), 0, dtype=a.dtype)
         self._q, self._lower = self._q_lower[:n], self._q_lower[n:]
         self._left = np.zeros(n, dtype=a.dtype)
         self.counts = np.empty((n, n), dtype=np.int64)

@@ -269,7 +269,7 @@ def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
                 complex(r, k) in grid for r in range(i1, i2 + 1) for k in range(k1, k2 + 1)
             )
             if inside and (best is None or ((i1, i2, k1, k2), kind) < best):
-                best = ((i1, i2, k1, k2), kind)
+                best = (i1, i2, k1, k2), kind
     if best is None:
         raise InternalInvariantViolation(
             "no contour motif on a simply connected polyomino (internal bug)"

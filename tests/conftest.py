@@ -144,6 +144,20 @@ def member_index(stack: np.ndarray, bits) -> int:
     return int(index)
 
 
+def reverse_sole_arc(dag) -> None:
+    """Reverse, in place, the first arc u -> v that is the only path from
+    u to v.  Members that reached v only through it no longer do, and v
+    now reaches u, whose T has negatives; the DAG stays acyclic."""
+    for u, out in enumerate(dag.arcs):
+        for pos, (v, sw) in enumerate(out):
+            del out[pos]
+            if not oracle.reachability_closure(dag)[u] >> v & 1:
+                dag.arcs[v].append((u, sw))
+                return
+            out.insert(pos, (v, sw))
+    raise ValueError("every arc has a bypass")
+
+
 def reference_sym_board_pair_counts(adj, sign):
     """Boards of one sign per row pair, by a blocked prefix-sum scan.
 

@@ -25,6 +25,7 @@ from conftest import (
     RING_A,
     RING_B,
     random_binary,
+    reverse_sole_arc,
 )
 
 
@@ -197,10 +198,17 @@ class TestReach:
         assert code == 1 and payload["status"] == "UnreachableExhaustive"
 
     def test_margin_mismatch_is_data_error(self, tmp_path, capsys):
+        # a margin and a shape mismatch, on reach and on path
         a = write(tmp_path, "a.mat", [[1, 0], [0, 1]])
-        b = write(tmp_path, "b.mat", [[1, 1], [0, 0]])
-        code, out, err = run_cli(capsys, "reach", a, b)
-        assert code == 65
+        margins = write(tmp_path, "margins.mat", [[1, 1], [0, 0]])
+        shape = write(tmp_path, "shape.mat", [[1, 0, 0], [0, 1, 0]])
+        for command in ("reach", "path"):
+            for b, message in (
+                (margins, "matrices have different row or column sums"),
+                (shape, "shapes differ: (2, 2) vs (2, 3)"),
+            ):
+                code, out, err = run_cli(capsys, command, a, b)
+                assert (code, out, err) == (65, "", f"switchgraph: {message}\n"), command
 
     def test_identical(self, tmp_path, capsys):
         a = write(tmp_path, "a.mat", PAIR_3X3_A)
@@ -301,6 +309,24 @@ class TestEnumerate:
         assert payload["checks"]["unique_sink"] == "pass"
         assert payload["checks"]["necessity"] and payload["checks"]["sufficiency"]
 
+    def test_margins_failing_check(self, tmp_path, capsys, monkeypatch):
+        # an arc reversed after the build breaks necessity and sufficiency
+        build = oracle.build_dag
+
+        def reversed_build(stack):
+            dag = build(stack)
+            reverse_sole_arc(dag)
+            return dag
+
+        monkeypatch.setattr(oracle, "build_dag", reversed_build)
+        margins = tmp_path / "m.txt"
+        margins.write_text("1 1 1 1\n1 1 1 1\n")
+        code, payload, _ = run_json(capsys, "enumerate", "--margins", str(margins))
+        assert code == 1 and payload["failures"]
+        assert payload["checks"]["acyclic"] is True
+        assert payload["checks"]["necessity"] is False
+        assert payload["checks"]["sufficiency"] is False
+
     def test_negative_margin_is_bad_data(self, tmp_path, capsys):
         margins = tmp_path / "m.txt"
         margins.write_text("-1 1\n0 0\n")
@@ -333,6 +359,19 @@ class TestEnumerate:
         assert code == 0
         assert payload["count"] == 3
         assert payload["checks"]["max_at_sink"] is True
+
+    def test_degrees_failing_check(self, capsys, monkeypatch):
+        # the one sink of the class of 2,2,2,2 is member 0; member 2 gets
+        # the largest spectral radius
+        graphs = oracle.enumerate_degree_class([2, 2, 2, 2])
+        assert oracle.build_graph_dag(graphs).sinks == [0]
+        radius = oracle.dense_spectral_radius
+        monkeypatch.setattr(
+            oracle, "dense_spectral_radius", lambda adj: radius(adj) + float((adj == graphs[2]).all())
+        )
+        code, payload, _ = run_json(capsys, "enumerate", "--degrees", "2,2,2,2")
+        assert code == 1 and payload["failures"]
+        assert payload["checks"] == {"max_at_sink": False, "eigenvector_order": True}
 
     def test_degrees_cap(self, capsys):
         # the class of 2,2,2,2 has 3 members

@@ -16,6 +16,7 @@ from conftest import (
     graphical_sequences,
     margin_space,
     member_index,
+    reverse_sole_arc,
 )
 
 
@@ -357,23 +358,9 @@ class TestPairScan:
             assert rep.pairs == len(dag.bits) * (len(dag.bits) - 1)
 
     def test_both_failure_kinds_in_pair_order(self, monkeypatch):
-        # reverse the first arc u -> v that is the only path from u to v:
-        # members that reached v only through it no longer do (sufficiency
-        # fails), and v now reaches u, whose T has negatives (necessity
-        # fails); the DAG stays acyclic
+        # with an arc reversed, sufficiency and necessity both fail
         dag = oracle.build_dag(oracle.enumerate_margins((1, 1, 1, 1), (1, 1, 1, 1)))
-        reversed_arc = None
-        for u, out in enumerate(dag.arcs):
-            for pos, (v, sw) in enumerate(out):
-                del out[pos]
-                if not oracle.reachability_closure(dag)[u] >> v & 1:
-                    reversed_arc = (v, (u, sw))
-                    break
-                out.insert(pos, (v, sw))
-            if reversed_arc:
-                break
-        v, arc = reversed_arc
-        dag.arcs[v].append(arc)
+        reverse_sole_arc(dag)
         failures, records = reference_reachability(dag)
         kinds = [text.endswith("negatives") for text in failures]
         assert sum(a != b for a, b in zip(kinds, kinds[1:])) >= 2  # interleaved

@@ -26,9 +26,7 @@ import numpy as np
 from . import binmat, graph, optimize, oracle, reach
 from .binmat import NEGATIVE, POSITIVE, BinaryMatrix
 from .errors import (
-    DimensionMismatch,
     InfeasibleMargins,
-    MarginMismatch,
     MarginSumMismatch,
     MatrixFormatError,
     NonGraphical,
@@ -221,12 +219,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _reach_verdict(args) -> reach.ReachVerdict:
-    A = _load_matrix(args.a)
-    B = _load_matrix(args.b)
-    try:
-        return reach.build_path(A, B, bfs_cap=args.bfs_cap)
-    except (DimensionMismatch, MarginMismatch) as exc:
-        raise _CommandError(str(exc), EXIT_DATA) from exc
+    return reach.build_path(_load_matrix(args.a), _load_matrix(args.b), bfs_cap=args.bfs_cap)
 
 
 def _verdict_exit(verdict: reach.ReachVerdict) -> int:
@@ -242,7 +235,7 @@ def _cmd_reach(args) -> int:
     _emit(
         args,
         status=verdict.status,
-        conditions=verdict.conditions(),
+        conditions=verdict.conditions,
         T=verdict.T.tolist(),
         path=None if verdict.path is None else [list(sw) for sw in verdict.path],
         path_length=verdict.path_length,
@@ -339,34 +332,19 @@ def _cmd_enumerate(args) -> int:
         return EXIT_NEGATIVE
     if by_margins:
         dag = oracle.build_dag(members)
-        structure = oracle.verify_dag_structure(dag)
+        checks, failures = oracle.verify_dag_structure(dag)
         reach_rep = oracle.verify_reachability(dag)
-        checks = {
-            "acyclic": structure.acyclic,
-            "connected": structure.connected,
-            "potential_law": structure.potential_law,
-            "unique_sink": structure.unique_sink,
-            "unique_source": structure.unique_source,
-            "singleton_nested": structure.singleton_nested,
-            "necessity": reach_rep.necessity_ok,
-            "sufficiency": reach_rep.sufficiency_ok,
-        }
+        checks.update(reach_rep.checks)
+        failures += reach_rep.failures
         spectral_fields = {}
-        failures = structure.failures + reach_rep.failures
-        ok = structure.ok and reach_rep.ok
     else:
         dag = oracle.build_graph_dag(members)
         spectral = oracle.verify_spectral_max_at_sink(dag)
-        checks = {
-            "max_at_sink": spectral.max_at_sink,
-            "eigenvector_order": spectral.eigenvector_order_ok,
-        }
+        checks, failures = spectral.checks, spectral.failures
         spectral_fields = {
             "max_lambda": spectral.max_lambda,
             "max_lambda_at_sinks": spectral.max_lambda_at_sinks,
         }
-        failures = spectral.failures
-        ok = spectral.ok
     _emit(
         args,
         count=len(members),
@@ -377,7 +355,7 @@ def _cmd_enumerate(args) -> int:
         failures=failures,
         **spectral_fields,
     )
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_NEGATIVE if failures else EXIT_OK
 
 
 def _cmd_scan_conjecture(args) -> int:

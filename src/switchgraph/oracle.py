@@ -242,96 +242,73 @@ def reachability_closure(dag: MatrixClassDAG) -> list[int]:
     return closure
 
 
-@dataclass
-class DagStructureReport:
-    acyclic: bool
-    connected: bool
-    potential_law: bool
-    unique_sink: str  # "pass" | "vacuous" | "fail"
-    unique_source: str
-    singleton_nested: str
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.acyclic
-            and self.connected
-            and self.potential_law
-            and "fail" not in (self.unique_sink, self.unique_source, self.singleton_nested)
-        )
-
-
-def verify_dag_structure(dag: MatrixClassDAG) -> DagStructureReport:
+def verify_dag_structure(dag: MatrixClassDAG) -> tuple[dict, list[str]]:
     """Structural laws of one class: acyclicity, connectivity, the exact
     potential increment per arc, split-zebra unique sink, complement
-    unique source, and the singleton criterion."""
+    unique source, and the singleton criterion.
+
+    Returns ``checks``, each law's verdict under the name ``enumerate``
+    prints, and ``failures``, one line per broken law; the class passes
+    exactly when ``failures`` is empty.  The last three checks read
+    "pass", "fail" or, with no split or complement member, "vacuous".
+    """
+    checks: dict = {
+        "acyclic": topological_order(dag) is not None,
+        "connected": underlying_connected(dag),
+    }
     failures: list[str] = []
-    acyclic = topological_order(dag) is not None
-    if not acyclic:
+    if not checks["acyclic"]:
         failures.append("cycle detected")
-    connected = underlying_connected(dag)
-    if not connected:
+    if not checks["connected"]:
         failures.append("underlying graph disconnected")
 
-    potential_law = True
     pots = binmat.potentials(dag.bits).tolist()
+    broken = []
     for v, out in enumerate(dag.arcs):
         for dest, sw in out:
             delta = pots[dest] - pots[v]
             if delta != (sw.j - sw.i) * (sw.l - sw.k) or delta <= 0:
-                potential_law = False
-                failures.append(f"potential law broken on arc {v}->{dest} via {tuple(sw)}")
+                broken.append(f"potential law broken on arc {v}->{dest} via {tuple(sw)}")
+    checks["potential_law"] = not broken
+    failures += broken
 
     flags = binmat.class_flags(dag.bits)
     split = flags["zebra_split_h"] | flags["zebra_split_v"]
     split |= flags["anti_zebra_split_h"] | flags["anti_zebra_split_v"]
-    split_members = np.flatnonzero(split).tolist()
-    if not split_members:
-        unique_sink = "vacuous"
-    elif len(split_members) == 1 and dag.sinks == split_members:
-        unique_sink = "pass"
-    else:
-        unique_sink = "fail"
-        failures.append(
-            f"split members {split_members} vs sinks {dag.sinks}"
-        )
-
-    comp_members = np.flatnonzero(flags["complement_of_split"]).tolist()
-    if not comp_members:
-        unique_source = "vacuous"
-    elif len(comp_members) == 1 and dag.sources == comp_members:
-        unique_source = "pass"
-    else:
-        unique_source = "fail"
-        failures.append(
-            f"complement-of-split members {comp_members} vs sources {dag.sources}"
-        )
+    for name, kind, mask, ends, end_kind in (
+        ("unique_sink", "split", split, dag.sinks, "sinks"),
+        ("unique_source", "complement-of-split", flags["complement_of_split"], dag.sources,
+         "sources"),
+    ):
+        members = np.flatnonzero(mask).tolist()
+        if not members:
+            checks[name] = "vacuous"
+        elif len(members) == 1 and ends == members:
+            checks[name] = "pass"
+        else:
+            checks[name] = "fail"
+            failures.append(f"{kind} members {members} vs {end_kind} {ends}")
 
     # Singleton criterion: a class is a singleton exactly when some member
     # has no checkerboard at all (no arc out and no arc in); such a member
     # is nested once rows and columns are ordered by non-increasing sums.
     free = set(dag.sinks).intersection(dag.sources)
-    singleton_nested = "pass"
-    if len(dag.bits) == 1:
-        if not free:
-            singleton_nested = "fail"
-            failures.append("singleton class whose member has checkerboards")
-        else:
-            m = dag.bits[0]
-            row_order = np.argsort(-m.sum(axis=1), kind="stable")
-            col_order = np.argsort(-m.sum(axis=0), kind="stable")
-            if not binmat.is_nested(m[np.ix_(row_order, col_order)]):
-                singleton_nested = "fail"
-                failures.append("singleton member not nested after degree reordering")
-    elif free:
-        singleton_nested = "fail"
-        failures.append(f"checkerboard-free member in a class of {len(dag.bits)}")
-
-    return DagStructureReport(
-        acyclic, connected, potential_law, unique_sink, unique_source,
-        singleton_nested, failures,
-    )
+    problem = ""
+    if len(dag.bits) != 1:
+        if free:
+            problem = f"checkerboard-free member in a class of {len(dag.bits)}"
+    elif not free:
+        problem = "singleton class whose member has checkerboards"
+    else:
+        m = dag.bits[0]
+        row_order = np.argsort(-m.sum(axis=1), kind="stable")
+        col_order = np.argsort(-m.sum(axis=0), kind="stable")
+        if not binmat.is_nested(m[np.ix_(row_order, col_order)]):
+            problem = "singleton member not nested after degree reordering"
+    checks["singleton_nested"] = "fail" if problem else "pass"
+    if problem:
+        failures.append(problem)
+    return checks, failures
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +372,13 @@ class ConjectureRecord:
 
 @dataclass
 class ReachabilityReport:
+    """``checks`` holds "necessity" and "sufficiency", and the class passes
+    exactly when ``failures``, one line per failing pair, is empty."""
+
     pairs: int
-    necessity_ok: bool
-    sufficiency_ok: bool
+    checks: dict[str, bool]
     failures: list[str] = field(default_factory=list)
     conjecture: list[ConjectureRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.necessity_ok and self.sufficiency_ok
 
 
 def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
@@ -421,7 +396,7 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     """
     n, p, q = dag.bits.shape
     if n < 2:
-        return ReachabilityReport(0, True, True)
+        return ReachabilityReport(0, {"necessity": True, "sufficiency": True})
     closure = reachability_closure(dag)
     cells = (p - 1) * (q - 1)
     psums = dag.bits.astype(np.int64).cumsum(axis=1).cumsum(axis=2)[:, : p - 1, : q - 1]
@@ -429,8 +404,7 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
     # type that holds them keeps the pair blocks small; records keep int64
     psums = psums.reshape(n, cells).astype(np.min_scalar_type(-p * q - 1))
     width = (n + 7) // 8
-    necessity_ok = True
-    sufficiency_ok = True
+    checks = {"necessity": True, "sufficiency": True}
     failures: list[str] = []
     groups: dict[bytes, ConjectureRecord] = {}
     rows = max(1, binmat._BLOCK_CELLS // (n * cells))
@@ -479,8 +453,8 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
         sufficiency = np.zeros_like(cond_i)
         sufficiency.ravel()[fits] = holds[inverse]
         sufficiency &= ~reachable
-        necessity_ok &= not necessity.any()
-        sufficiency_ok &= not sufficiency.any()
+        checks["necessity"] &= not necessity.any()
+        checks["sufficiency"] &= not sufficiency.any()
         for a, b in np.argwhere(necessity | sufficiency).tolist():
             if necessity[a, b]:
                 failures.append(f"pair ({start + a},{b}): reachable but T has negatives")
@@ -488,10 +462,7 @@ def verify_reachability(dag: MatrixClassDAG) -> ReachabilityReport:
                 failures.append(
                     f"pair ({start + a},{b}): conditions (i)-(iii) hold but BFS finds no path"
                 )
-    total_pairs = n * (n - 1)
-    return ReachabilityReport(
-        total_pairs, necessity_ok, sufficiency_ok, failures, list(groups.values())
-    )
+    return ReachabilityReport(n * (n - 1), checks, failures, list(groups.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +552,13 @@ def build_graph_dag(stack: np.ndarray) -> MatrixClassDAG:
 
 @dataclass
 class SpectralSinkReport:
+    """``checks`` holds "max_at_sink" and "eigenvector_order", and the class
+    passes exactly when ``failures`` is empty."""
+
     max_lambda: float
     max_lambda_at_sinks: float
-    max_at_sink: bool
-    eigenvector_order_ok: bool
+    checks: dict[str, bool]
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_at_sink and self.eigenvector_order_ok
 
 
 # How far below the class maximum a spectral radius still counts as the
@@ -616,13 +585,11 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
     sink_lams = [lams[v] for v in dag.sinks]
     max_all = max(lams)
     max_sinks = max(sink_lams) if sink_lams else float("-inf")
-    max_at_sink = bool(sink_lams) and max_sinks >= max_all - _LAMBDA_TOL
+    checks = {"max_at_sink": bool(sink_lams) and max_sinks >= max_all - _LAMBDA_TOL}
     failures: list[str] = []
-    if not max_at_sink:
-        failures.append(
-            f"max lambda {max_all} vs best sink {max_sinks} for D={D}"
-        )
-    vec_ok = True
+    if not checks["max_at_sink"]:
+        failures.append(f"max lambda {max_all} vs best sink {max_sinks} for D={D}")
+    misordered: list[str] = []
     for adj, lam in zip(dag.bits, lams):
         if lam < max_all - _LAMBDA_TOL:
             continue
@@ -631,15 +598,9 @@ def verify_spectral_max_at_sink(dag: MatrixClassDAG) -> SpectralSinkReport:
         for i in range(len(adj)):
             for j in range(len(adj)):
                 if d[i] > d[j] and x[i] < x[j] - _EIGVEC_TOL:
-                    vec_ok = False
-                    failures.append(
+                    misordered.append(
                         f"maximiser for D={D}: deg {int(d[i])}>{int(d[j])} "
                         f"but x[{i}]={x[i]:.6g} < x[{j}]={x[j]:.6g}"
                     )
-    return SpectralSinkReport(
-        max_lambda=max_all,
-        max_lambda_at_sinks=max_sinks,
-        max_at_sink=max_at_sink,
-        eigenvector_order_ok=vec_ok,
-        failures=failures,
-    )
+    checks["eigenvector_order"] = not misordered
+    return SpectralSinkReport(max_all, max_sinks, checks, failures + misordered)

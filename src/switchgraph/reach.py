@@ -230,7 +230,8 @@ def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
     is read by one scan per outward direction, with cells as complex
     numbers ``row + col * 1j`` and ``along`` the clockwise direction of the
     side.  On a polyomino with a hole the hole's sides are read too, and
-    every rectangle returned still lies in the set.  The lexicographically
+    every rectangle returned still lies in the set; when a set with a hole
+    has none, ``ValueError`` says so.  The lexicographically
     smallest valid rectangle is returned together with the motif kind.
     """
     if not cells:
@@ -271,6 +272,10 @@ def find_motif_cells(cells: frozenset[Cell] | set[Cell]) -> tuple[Rect, int]:
             if inside and (best is None or ((i1, i2, k1, k2), kind) < best):
                 best = (i1, i2, k1, k2), kind
     if best is None:
+        box = np.zeros((r2 - r1 + 1, c2 - c1 + 1), dtype=np.int64)
+        box[np.subtract(rows, r1), np.subtract(cols, c1)] = 1
+        if _has_hole(box):
+            raise ValueError("no contour motif: the cell set has a hole")
         raise InternalInvariantViolation(
             "no contour motif on a simply connected polyomino (internal bug)"
         )
@@ -293,15 +298,14 @@ class ReachVerdict:
     """Outcome of a reachability query, with certificate data.
 
     ``path`` lists positive switches leading from A to A' when one was
-    found (empty for identical inputs); ``T`` is the decomposition grid of
-    A' - A and cond_* the three predicate values.
+    found (empty for identical inputs); ``conditions`` maps "i", "ii" and
+    "iii" to the three predicate values, as ``reach`` prints them, and
+    ``T`` is the decomposition grid of A' - A.
     """
 
     status: str
     path: list[Switch] | None
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
+    conditions: dict[str, bool]
     T: np.ndarray
     note: str = ""
 
@@ -316,9 +320,6 @@ class ReachVerdict:
     @property
     def path_length(self) -> int | None:
         return None if self.path is None else len(self.path)
-
-    def conditions(self) -> dict[str, bool]:
-        return {"i": self.cond_i, "ii": self.cond_ii, "iii": self.cond_iii}
 
 
 def validate_path(A: BinaryMatrix, A2: BinaryMatrix, path) -> bool:
@@ -435,15 +436,16 @@ def build_path(
     """
     M = diff(A, A2)
     cond_i, cond_ii, cond_iii, T = check_conditions(M)
+    conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii}
     if A == A2:
-        return ReachVerdict(IDENTICAL, [], cond_i, cond_ii, cond_iii, T)
+        return ReachVerdict(IDENTICAL, [], conditions, T)
     if not cond_i:
-        return ReachVerdict(UNREACHABLE_CONDITION_I, None, cond_i, cond_ii, cond_iii, T)
+        return ReachVerdict(UNREACHABLE_CONDITION_I, None, conditions, T)
     if cond_ii and cond_iii:
         path = _constructive_path(A, A2, T)
-        return ReachVerdict(REACHABLE_CONSTRUCTIVE, path, cond_i, cond_ii, cond_iii, T)
+        return ReachVerdict(REACHABLE_CONSTRUCTIVE, path, conditions, T)
     status, path = _interval_search(A, A2, T, bfs_cap)
     if path is not None and not validate_path(A, A2, path):
         raise InternalInvariantViolation("interval search produced an invalid path")
     note = f"more than {bfs_cap} search states" if status == UNKNOWN else ""
-    return ReachVerdict(status, path, cond_i, cond_ii, cond_iii, T, note=note)
+    return ReachVerdict(status, path, conditions, T, note=note)

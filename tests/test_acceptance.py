@@ -72,8 +72,17 @@ def arc_lists(dag) -> list:
     return [[[dest, list(sw)] for dest, sw in out] for out in dag.arcs]
 
 
-def class_digest_record(R, C, dag, srep, rrep) -> bytes:
-    """Canonical JSON of everything the oracle reports on one margin class."""
+# the eight checks of a margin class, in the order the digest reads them
+MARGIN_CHECKS = (
+    "acyclic", "connected", "potential_law", "unique_sink", "unique_source",
+    "singleton_nested", "necessity", "sufficiency",
+)
+
+
+def class_digest_record(R, C, dag, checks, failures, rrep) -> bytes:
+    """Canonical JSON of everything the oracle reports on one margin class:
+    ``checks`` and ``failures`` of its structure and reachability merged, as
+    ``enumerate`` prints them, and the reachability report ``rrep``."""
     record = {
         "R": list(R),
         "C": list(C),
@@ -81,11 +90,8 @@ def class_digest_record(R, C, dag, srep, rrep) -> bytes:
         "arcs": arc_lists(dag),
         "sources": dag.sources,
         "sinks": dag.sinks,
-        "checks": [
-            srep.acyclic, srep.connected, srep.potential_law, srep.unique_sink,
-            srep.unique_source, srep.singleton_nested, rrep.necessity_ok, rrep.sufficiency_ok,
-        ],
-        "failures": srep.failures + rrep.failures,
+        "checks": [checks[name] for name in MARGIN_CHECKS],
+        "failures": failures,
         "conjecture": [
             [rec.diff_key.hex(), rec.cond_ii, rec.cond_iii, rec.pairs, rec.reachable_pairs,
              list(rec.example_pair)]
@@ -141,14 +147,16 @@ def margin_sweep() -> SweepResult:
             continue
         out.classes += 1
         dag = oracle.build_dag(mats)
-        srep = oracle.verify_dag_structure(dag)
-        if not srep.ok:
-            out.structure_failures.append((R, C, srep.failures[:3]))
+        checks, failures = oracle.verify_dag_structure(dag)
+        if failures:
+            out.structure_failures.append((R, C, failures[:3]))
         rrep = oracle.verify_reachability(dag)
         hasher = hashers.setdefault(f"{len(R)}x{len(C)}", hashlib.sha256())
-        hasher.update(class_digest_record(R, C, dag, srep, rrep))
+        hasher.update(
+            class_digest_record(R, C, dag, {**checks, **rrep.checks}, failures + rrep.failures, rrep)
+        )
         out.pairs += rrep.pairs
-        if not rrep.ok:
+        if rrep.failures:
             out.reach_failures.append((R, C, rrep.failures[:3]))
         for rec in rrep.conjecture:
             out.differences += 1
@@ -359,7 +367,7 @@ def test_criterion_07_spectral_max_at_sink():
             dag = oracle.build_graph_dag(graphs)
             hasher.update(json.dumps([list(D), arc_lists(dag), dag.sources, dag.sinks]).encode())
             rep = oracle.verify_spectral_max_at_sink(dag)
-            if not rep.ok:
+            if rep.failures:
                 failures.append((D, rep.failures[:2]))
         digests[n] = hasher.hexdigest()
     elapsed = time.perf_counter() - t0

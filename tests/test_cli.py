@@ -774,7 +774,7 @@ def test_public_api():
         "reach": ["DiffMatrix"],
         "binmat": ["row_col_sums", "reflect_vertical", "MatrixClass"],
         "graph": ["apply_sym_switch"],
-        "oracle": ["margin_space", "graphical_sequences"],
+        "oracle": ["margin_space", "graphical_sequences", "DagStructureReport"],
         "optimize": ["TrajectoryStep"],
     }
     for module, names in removed.items():

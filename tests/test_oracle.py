@@ -213,8 +213,8 @@ class TestVerifyDagStructure:
     )
     def test_small_classes_pass(self, R, C):
         dag = oracle.build_dag(oracle.enumerate_margins(R, C))
-        rep = oracle.verify_dag_structure(dag)
-        assert rep.ok, rep.failures
+        checks, failures = oracle.verify_dag_structure(dag)
+        assert not failures, failures
 
     def test_empty_class(self):
         # the one matrix with no cells: a class of one member, its own sink,
@@ -224,27 +224,38 @@ class TestVerifyDagStructure:
             dag = oracle.build_dag(oracle.enumerate_margins(R, C))
             assert dag.bits.shape == (1, len(R), len(C))
             assert dag.arcs == [[]] and dag.sources == [0] and dag.sinks == [0]
-            rep = oracle.verify_dag_structure(dag)
-            assert (rep.unique_sink, rep.unique_source) == ("pass", "pass")
-            assert rep.ok, rep.failures
+            checks, failures = oracle.verify_dag_structure(dag)
+            assert (checks["unique_sink"], checks["unique_source"]) == ("pass", "pass")
+            assert not failures, failures
 
     def test_empty_graph_class(self):
         # the one graph on no vertices: a class of one member, its own sink
         dag = oracle.build_graph_dag(oracle.enumerate_degree_class([]))
         assert dag.bits.shape == (1, 0, 0)
         assert dag.arcs == [[]] and dag.sources == [0] and dag.sinks == [0]
-        rep = oracle.verify_dag_structure(dag)
-        assert rep.ok, rep.failures
+        checks, failures = oracle.verify_dag_structure(dag)
+        assert not failures, failures
 
     def test_no_split_member_reports_vacuous(self):
         dag = oracle.build_dag(oracle.enumerate_margins((1, 3, 3, 1), (3, 1, 1, 3)))
-        rep = oracle.verify_dag_structure(dag)
-        assert rep.unique_sink == "vacuous" and rep.ok
+        checks, failures = oracle.verify_dag_structure(dag)
+        assert checks["unique_sink"] == "vacuous" and not failures
 
     def test_split_member_reports_pass(self):
         dag = oracle.build_dag(oracle.enumerate_margins((1, 1), (1, 1)))
-        rep = oracle.verify_dag_structure(dag)
-        assert rep.unique_sink == "pass" and rep.unique_source == "pass"
+        checks, failures = oracle.verify_dag_structure(dag)
+        assert checks["unique_sink"] == "pass" and checks["unique_source"] == "pass"
+
+    def test_broken_law_is_a_false_check_and_a_failure(self):
+        # a reversed arc lowers the potential along it, and nothing else
+        # in the structure changes
+        dag = oracle.build_dag(oracle.enumerate_margins((1, 1, 1, 1), (1, 1, 1, 1)))
+        reverse_sole_arc(dag)
+        checks, failures = oracle.verify_dag_structure(dag)
+        assert [name for name, value in checks.items() if value in (False, "fail")] == [
+            "potential_law"
+        ]
+        assert len(failures) == 1 and failures[0].startswith("potential law broken on arc")
 
     def test_topological_order_exists(self):
         dag = oracle.build_dag(oracle.enumerate_margins((2, 2, 1), (2, 2, 1)))
@@ -261,7 +272,7 @@ class TestVerifyReachability:
         mats = oracle.enumerate_margins((1, 3, 3, 1), (3, 1, 1, 3))
         dag = oracle.build_dag(mats)
         rep = oracle.verify_reachability(dag)
-        assert rep.ok
+        assert not rep.failures
         a = member_index(dag.bits, RING_A)
         b = member_index(dag.bits, RING_B)
         closure = oracle.reachability_closure(dag)
@@ -370,7 +381,7 @@ class TestPairScan:
             rep = oracle.verify_reachability(dag)
             assert rep.failures == failures
             assert report_records(rep) == records
-            assert not rep.necessity_ok and not rep.sufficiency_ok
+            assert rep.checks == {"necessity": False, "sufficiency": False}
 
 
 class TestComplementDuality:
@@ -458,14 +469,14 @@ class TestSpectralMaxAtSink:
     def test_regular_class_trivial(self):
         graphs = oracle.enumerate_degree_class([2, 2, 2, 2])
         rep = oracle.verify_spectral_max_at_sink(oracle.build_graph_dag(graphs))
-        assert rep.ok
+        assert not rep.failures
         assert rep.max_lambda == pytest.approx(2.0, abs=1e-9)
 
     def test_mixed_class(self):
         graphs = oracle.enumerate_degree_class([3, 2, 2, 2, 1])
         dag = oracle.build_graph_dag(graphs)
         rep = oracle.verify_spectral_max_at_sink(dag)
-        assert rep.ok, rep.failures
+        assert not rep.failures, rep.failures
         assert len(dag.sinks) >= 1
 
     def test_max_matches_brute_scan(self):

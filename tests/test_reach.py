@@ -389,6 +389,16 @@ class TestFindMotif:
         r1, r2, c1, c2 = rect
         assert all((r, c) in cells for r in range(r1, r2 + 1) for c in range(c1, c2 + 1))
 
+    @pytest.mark.parametrize(
+        "rows", [("###", "#.#", "###"), ("###", "#.#", "#.#", "###"), ("####", "#..#", "####")]
+    )
+    def test_holed_set_without_motif_names_its_hole(self, rows):
+        # the three fixed polyominoes with a hole and at most 10 cells on
+        # which no side gives a motif
+        cells = {(r, c) for r, row in enumerate(rows, 1) for c, ch in enumerate(row, 1) if ch == "#"}
+        with pytest.raises(ValueError, match="the cell set has a hole"):
+            find_motif_cells(cells)
+
     def test_motif_rect_always_inside_on_random_shapes(self):
         rng = np.random.default_rng(31)
         for _ in range(80):
@@ -496,7 +506,7 @@ class TestBuildPath:
         v = build_path(A, B)
         assert v.status == reach.UNREACHABLE_EXHAUSTIVE
         assert v.reachable is False
-        assert v.cond_i and not v.cond_ii
+        assert v.conditions["i"] and not v.conditions["ii"]
 
     def test_golden_block_reachable(self, block_pair):
         A, B = block_pair
@@ -666,7 +676,8 @@ def test_build_path_digest():
     for _ in range(300):
         v = build_path(*digest_pair(rng), bfs_cap=2000)
         path = None if v.path is None else [tuple(sw) for sw in v.path]
-        digest.update(repr((v.status, path, v.cond_i, v.cond_ii, v.cond_iii)).encode())
+        conditions = v.conditions["i"], v.conditions["ii"], v.conditions["iii"]
+        digest.update(repr((v.status, path, *conditions)).encode())
         statuses.add(v.status)
     assert set(statuses) == reach.REACHABLE_STATUSES | reach.UNREACHABLE_STATUSES | {reach.UNKNOWN}
     assert digest.hexdigest() == "caa2d0d28aa0bef5a44fa0f5461f0835e1281dbcfa8d49389c2d30db57e65232"
